@@ -11,17 +11,21 @@ import sys
 import time
 
 from . import cohomology, etale, fields, lifting, verify, weyl, witt
-from .errors import WittCalcError
+from .errors import InvalidInput, WittCalcError
 from .fields import parse_field
 from .witt import PfisterPresentation
 
 
-def _load_payload(args):
+def _load_payload(args) -> dict:
     if getattr(args, "input", None):
         with open(args.input) as fh:
-            return json.load(fh)
-    data = sys.stdin.read()
-    return json.loads(data) if data.strip() else {}
+            payload = json.load(fh)
+    else:
+        data = sys.stdin.read()
+        payload = json.loads(data) if data.strip() else {}
+    if not isinstance(payload, dict):
+        raise InvalidInput(f"payload must be a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def _emit(obj, args) -> None:

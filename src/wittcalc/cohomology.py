@@ -136,12 +136,8 @@ def is_zero(c: CohClass) -> bool:
     if c.degree <= 1:
         return c.is_presented_zero()
     if c.degree == 2:
-        places: set = {2, fields.INF}
-        for sym in c.symbols:
-            for f in sym.factors:
-                if f.data not in (1, -1):
-                    places.add(abs(f.data))
-        for v in places:
+        factors = (f.data for sym in c.symbols for f in sym.factors)
+        for v in fields.hilbert_places(factors) + [fields.INF]:
             s = 1
             for sym in c.symbols:
                 a, b = sym.factors
@@ -154,10 +150,6 @@ def is_zero(c: CohClass) -> bool:
     m1 = minus_one(field)
     negatives = sum(1 for sym in c.symbols if all(f == m1 for f in sym.factors))
     return negatives % 2 == 0
-
-
-def coh_eq(a: CohClass, b: CohClass) -> bool:
-    return is_zero(coh_add(a, b))
 
 
 def e_map(p: PfisterPresentation) -> CohClass:

@@ -9,12 +9,12 @@ also allowed over the formal backend, where it is produced by twisting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fields
 from .errors import DegreeOutOfRange, InvalidInput, UnsupportedBackend
-from .fields import FieldDescriptor, SquareClass, basis_factors, canonicalize, rationals
+from .fields import FieldDescriptor, SquareClass, canonicalize, rationals
 from .witt import DiagonalForm, GramMatrix, diagonalize, gram
 
 DEGREE_CAP = 12
@@ -114,20 +114,6 @@ class Poly:
         return poly_deg(self.coeffs)
 
 
-def _f2_independent(classes) -> bool:
-    """Gaussian elimination over F2 on the basis supports of the classes."""
-    pivots: list[tuple[SquareClass, frozenset]] = []
-    for c in classes:
-        cur = frozenset(basis_factors(c))
-        for lead, row in pivots:
-            if lead in cur:
-                cur = cur ^ row
-        if not cur:
-            return False
-        pivots.append((next(iter(cur)), cur))
-    return True
-
-
 @dataclass(frozen=True)
 class Multiquadratic:
     """Component generated by square roots of independent square classes."""
@@ -138,7 +124,7 @@ class Multiquadratic:
     def __post_init__(self) -> None:
         if 2 ** len(self.classes) > 2**DEGREE_CAP:
             raise DegreeOutOfRange("multiquadratic component too large")
-        if not _f2_independent(self.classes):
+        if not fields.f2_independent(self.classes):
             raise InvalidInput("multiquadratic classes are not F2-independent")
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -37,15 +38,59 @@ INF = "inf"
 DEFAULT_FACTOR_BOUND = 10**6
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
+#: Miller-Rabin with these bases decides primality exactly below MR_LIMIT
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
+def _proven_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; False when n is composite or too large to decide."""
+    if n >= MR_LIMIT:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    s, d = _two_val(n - 1)
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1) or a % n == 0:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def factor(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]]:
+    """Prime factorization of nonzero |m| as ascending (prime, exponent) pairs.
+
+    Trial division runs up to ``bound``, stopping early once the cofactor
+    above ``bound`` is proven prime by Miller-Rabin; a cofactor with no
+    factor up to ``bound`` and not proven prime raises FactorLimitExceeded.
+    """
+    m = abs(m)
+    out = []
+    d = 2
+    prime_left = m > bound and _proven_prime(m)
+    while d * d <= m and not prime_left:
+        if d > bound:
+            raise FactorLimitExceeded(f"factor search exceeded bound {bound}")
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            out.append((d, e))
+            prime_left = m > bound and _proven_prime(m)
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and factor(n) == [(n, 1)]
 
 
 @dataclass(frozen=True)
@@ -125,27 +170,6 @@ class SquareClass:
         return sq_mul(self, other)
 
 
-def _squarefree_part(x: Fraction, bound: int) -> int:
-    m = x.numerator * x.denominator
-    if m == 0:
-        raise ZeroElement("square class of zero")
-    sign = -1 if m < 0 else 1
-    m = abs(m)
-    out = 1
-    d = 2
-    while d * d <= m:
-        if d > bound:
-            raise FactorLimitExceeded(f"factor search exceeded bound {bound}")
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1 if d == 2 else 2
-    return sign * out * m  # leftover m is prime (or 1)
-
-
 def least_nonresidue(p: int) -> int:
     for k in range(2, p):
         if pow(k, (p - 1) // 2, p) == p - 1:
@@ -160,9 +184,9 @@ def canonicalize(raw, field: FieldDescriptor, bound: int = DEFAULT_FACTOR_BOUND)
             raise BadBackend("square class belongs to a different backend")
         return raw
     if field.kind == RATIONALS:
-        if not isinstance(raw, (int, Fraction)):
-            raise BadBackend(f"cannot interpret {raw!r} over the rationals")
-        return SquareClass(field, _squarefree_part(Fraction(raw), bound))
+        m = _integral(raw)
+        odd = prod(p for p, e in factor(m, bound) if e % 2)
+        return SquareClass(field, odd if m > 0 else -odd)
     if field.kind == FINITE:
         if not isinstance(raw, (int, Fraction)):
             raise BadBackend(f"cannot interpret {raw!r} over F_{field.p}")
@@ -199,6 +223,15 @@ def canonicalize(raw, field: FieldDescriptor, bound: int = DEFAULT_FACTOR_BOUND)
             return SquareClass(field, (r, _generator_tuple(gens, field)))
         raise BadBackend(f"cannot interpret {raw!r} over {field}")
     raise _unsupported(field, "canonicalize")
+
+
+def _integral(x) -> int:
+    """An integer in the square class of the nonzero rational x."""
+    if not isinstance(x, (int, Fraction)):
+        raise BadBackend(f"cannot interpret {x!r} over the rationals")
+    if x == 0:
+        raise ZeroElement("square class of zero")
+    return x.numerator * x.denominator
 
 
 def _generator_tuple(gens, field: FieldDescriptor) -> tuple[int, ...]:
@@ -240,26 +273,21 @@ def sq_mul(a: SquareClass, b: SquareClass) -> SquareClass:
         raise BackendMismatch("square classes over different backends")
     field = a.field
     if field.kind == RATIONALS:
-        return canonicalize(Fraction(a.data) * Fraction(b.data), field)
+        return SquareClass(field, _squarefree_mul(a.data, b.data))
     if field.kind == FINITE:
         return SquareClass(field, a.data ^ b.data)
     if field.kind == REALS:
         return SquareClass(field, a.data * b.data)
     if field.kind in TOWERS:
         (ca, ga), (cb, gb) = a.data, b.data
-        if field.kind == FORMAL:
-            const = ca ^ cb
-        else:
-            const = sq_mul(SquareClass(rationals(), ca), SquareClass(rationals(), cb)).data
+        const = ca ^ cb if field.kind == FORMAL else _squarefree_mul(ca, cb)
         return SquareClass(field, (const, tuple(sorted(set(ga) ^ set(gb)))))
     raise _unsupported(field, "sq_mul")
 
 
-def sq_product(field: FieldDescriptor, classes: Iterable[SquareClass]) -> SquareClass:
-    out = trivial_class(field)
-    for c in classes:
-        out = sq_mul(out, c)
-    return out
+def _squarefree_mul(a: int, b: int) -> int:
+    """Squarefree part of a*b for squarefree a and b, without factoring."""
+    return a * b // gcd(a, b) ** 2
 
 
 def basis_factors(a: SquareClass) -> tuple[SquareClass, ...]:
@@ -272,21 +300,8 @@ def basis_factors(a: SquareClass) -> tuple[SquareClass, ...]:
     """
     field = a.field
     if field.kind == RATIONALS:
-        n = a.data
-        out = []
-        if n < 0:
-            out.append(SquareClass(field, -1))
-            n = -n
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(SquareClass(field, d))
-                n //= d
-            else:
-                d += 1 if d == 2 else 2
-        if n > 1:
-            out.append(SquareClass(field, n))
-        return tuple(out)
+        sign = (SquareClass(field, -1),) if a.data < 0 else ()
+        return sign + tuple(SquareClass(field, p) for p, _ in factor(a.data))
     if field.kind == FINITE:
         return (a,) if a.data == 1 else ()
     if field.kind == REALS:
@@ -305,6 +320,38 @@ def basis_factors(a: SquareClass) -> tuple[SquareClass, ...]:
             generator(field, i) for i in gens
         )
     raise _unsupported(field, "basis_factors")
+
+
+def f2_reduce(rows: Iterable[int]) -> list[int]:
+    """Gaussian elimination over F2 on bitmask rows.
+
+    Each row is reduced, in input order, by the rows kept before it, each
+    kept row pivoting on its top bit; the nonzero results are kept and
+    returned in input order (dependent rows reduce to 0 and are dropped).
+    """
+    kept: list[int] = []
+    for row in rows:
+        for piv in kept:
+            if row >> (piv.bit_length() - 1) & 1:
+                row ^= piv
+        if row:
+            kept.append(row)
+    return kept
+
+
+def f2_independent(classes) -> bool:
+    """Whether the square classes are independent in the F2-space k*/k*^2."""
+    bits: dict[SquareClass, int] = {}
+    rows = [
+        sum(1 << bits.setdefault(f, len(bits)) for f in basis_factors(c)) for c in classes
+    ]
+    return len(f2_reduce(rows)) == len(rows)
+
+
+def hilbert_places(values) -> list[int]:
+    """2 and the primes dividing any of the nonzero integers, ascending: the
+    finite places where their Hilbert symbols can be -1."""
+    return sorted({2}.union(*({p for p, _ in factor(v)} for v in values)))
 
 
 def _two_val(n: int) -> tuple[int, int]:
@@ -327,11 +374,11 @@ def hilbert_symbol(a, b, place) -> int:
     """Local Hilbert symbol (a, b)_v over Q.
 
     Returns +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
-    completion at ``place`` (an odd prime, 2, or fields.INF).
+    completion at ``place`` (an odd prime, 2, or fields.INF).  The closed
+    formulas hold for any integers in the square classes, so the arguments
+    are not factored.
     """
-    field = rationals()
-    a = canonicalize(a, field).data
-    b = canonicalize(b, field).data
+    a, b = _integral(a), _integral(b)
     if place == INF or place == float("inf"):
         return -1 if (a < 0 and b < 0) else 1
     if not isinstance(place, int) or not _is_prime(place):

@@ -124,32 +124,18 @@ class Decomposition:
 
 def _solve_f2(rows: list[tuple[int, int]], ncols: int):
     """Solve the F2 system given as (column-bitmask, rhs-bit) rows; returns a
-    particular solution bitmask or None."""
-    pivots: list[tuple[int, int, int]] = []  # (pivot column, mask, rhs)
-    for mask, rhs in rows:
-        for col, pmask, prhs in pivots:
-            if mask >> col & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        col = mask.bit_length() - 1
-        pivots.append((col, mask, rhs))
-    # each pivot's mask has its column as top bit, so solve bottom-up
-    sol = 0
-    for col, mask, rhs in sorted(pivots):
-        acc = rhs
-        rest = mask & ~(1 << col)
-        while rest:
-            c = rest & -rest
-            if sol >> (c.bit_length() - 1) & 1:
-                acc ^= 1
-            rest ^= c
-        if acc:
-            sol |= 1 << col
-    return sol
+    particular solution bitmask (free columns 0) or None."""
+    # augmented rows: column c on bit c + 1, the rhs on bit 0
+    reduced = fields.f2_reduce(mask << 1 | rhs for mask, rhs in rows)
+    if 1 in reduced:
+        return None
+    # each reduced row has its pivot column as top bit, so solve bottom-up
+    sol = 1  # bit 0 stands for the rhs
+    for row in sorted(reduced):
+        top = 1 << (row.bit_length() - 1)
+        if (row & ~top & sol).bit_count() % 2:
+            sol |= top
+    return sol >> 1
 
 
 def decompose(

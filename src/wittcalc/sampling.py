@@ -11,7 +11,6 @@ from . import fields
 from .errors import InvalidInput, UnsupportedBackend
 from .fields import FieldDescriptor, SquareClass, canonicalize
 from .weyl import (
-    BN,
     DN,
     SN,
     MultiquadraticTorsor,

@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
-
 from . import fields
 from .cohomology import coh_add, cup, is_zero, sw, sw_lift
 from .etale import (
@@ -137,6 +135,8 @@ def _soluble_two(a: int, b: int) -> bool:
 def suite_hilbert(seed: int = 0) -> dict:
     """Closed-form local symbols against congruence solubility searches
     (mod p^3 for odd p, mod 2^6 at two), plus the product formula."""
+    import numpy as np
+
     rng = random.Random(seed)
     cases = 0
     failures: list[str] = []
@@ -175,20 +175,8 @@ def suite_hilbert(seed: int = 0) -> dict:
     for _ in range(50):
         a = random_square_class(rng, field, 30).data
         b = random_square_class(rng, field, 30).data
-        places = {2, fields.INF}
-        for v in (abs(a), abs(b)):
-            d = 2
-            while d * d <= v:
-                if v % d == 0:
-                    places.add(d)
-                    while v % d == 0:
-                        v //= d
-                else:
-                    d += 1 if d == 2 else 2
-            if v > 1:
-                places.add(v)
         prod = 1
-        for v in places:
+        for v in fields.hilbert_places((a, b)) + [fields.INF]:
             prod *= hilbert_symbol(a, b, v)
         cases += 1
         if prod != 1:

@@ -32,7 +32,7 @@ from .errors import (
     SizeMismatch,
     WrongTarget,
 )
-from .etale import EtaleAlgebra, Multiquadratic, _f2_independent, trace_form
+from .etale import EtaleAlgebra, Multiquadratic, trace_form
 from .fields import FieldDescriptor, SquareClass, canonicalize, rationals
 from .witt import (
     DiagonalForm,
@@ -158,7 +158,7 @@ class MultiquadraticTorsor:
             raise BadBackend("torsors live over the rationals or formal backends")
         if len(self.images) != len(self.d):
             raise InvalidInput("one image per square class required")
-        if not _f2_independent(self.d):
+        if not fields.f2_independent(self.d):
             raise InvalidInput("square classes are not F2-independent")
         if self.field.kind in fields.TOWERS:
             gens = set()
@@ -244,19 +244,6 @@ def _orbit(x: GSet, start: int) -> frozenset:
     return frozenset(seen)
 
 
-def _f2_basis(vectors, m: int):
-    """Row-reduce 0/1 tuples of length m; returns an independent basis."""
-    basis = []
-    for v in vectors:
-        cur = list(v)
-        for lead, row in basis:
-            if cur[lead]:
-                cur = [(a + b) % 2 for a, b in zip(cur, row)]
-        if any(cur):
-            basis.append((next(i for i in range(m) if cur[i]), cur))
-    return [row for _, row in basis]
-
-
 def twist(t: MultiquadraticTorsor, x: GSet) -> EtaleAlgebra:
     """Twisted form of the split algebra on the G-set: one multiquadratic
     component per orbit, cut out by the characters orthogonal to the
@@ -264,6 +251,9 @@ def twist(t: MultiquadraticTorsor, x: GSet) -> EtaleAlgebra:
     m = t.rank
     if len(x.perms) != m:
         raise InconsistentAction("one action image per torsor generator required")
+    # generator subsets as bitmasks, generator i on bit m-1-i, so that rows
+    # pivot on their lowest generator
+    bits = [1 << (m - 1 - i) for i in range(m)]
     remaining = set(range(1, x.size + 1))
     components = []
     while remaining:
@@ -271,23 +261,23 @@ def twist(t: MultiquadraticTorsor, x: GSet) -> EtaleAlgebra:
         orbit = _orbit(x, start)
         remaining -= orbit
         stab = []
-        for eps in itertools.product((0, 1), repeat=m):
+        for eps in range(2**m):
             pt = start
-            for i, e in enumerate(eps):
-                if e:
+            for i, bit in enumerate(bits):
+                if eps & bit:
                     pt = x.perms[i][pt - 1]
             if pt == start:
                 stab.append(eps)
         perp = [
             delta
-            for delta in itertools.product((0, 1), repeat=m)
-            if all(sum(a * b for a, b in zip(delta, eps)) % 2 == 0 for eps in stab)
+            for delta in range(2**m)
+            if all((delta & eps).bit_count() % 2 == 0 for eps in stab)
         ]
         classes = []
-        for delta in _f2_basis(perp, m):
+        for delta in fields.f2_reduce(perp):
             cls = fields.trivial_class(t.field)
-            for i, e in enumerate(delta):
-                if e:
+            for i, bit in enumerate(bits):
+                if delta & bit:
                     cls = cls * t.d[i]
             classes.append(cls)
         components.append(Multiquadratic(t.field, tuple(classes)))
@@ -379,18 +369,6 @@ def eval_g2_basis(t2: MultiquadraticTorsor, t3: MultiquadraticTorsor):
     a2 = from_diagonal(trace_form(twist(t2, gset_rho(t2))))
     a3 = from_diagonal(trace_form(twist(t3, gset_rho(t3))))
     return witt_one(t2.field), a2, a3, witt_mul(a2, a3)
-
-
-def default_n0(target) -> int:
-    """Conservative elementary-abelian rank bound per target type."""
-    kind, n = target
-    if kind == BN:
-        return n
-    if kind == DN:
-        return n - 1 + n // 2
-    if kind == SN:
-        return n // 2
-    raise InvalidInput(f"unknown target {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import fields
 from .errors import (
@@ -150,18 +149,6 @@ def witt_int_scale(k: int, a: WittClass) -> WittClass:
     return make_witt(a.field, {c: k * v for c, v in a.terms})
 
 
-def witt_scale(q: WittClass, a: WittClass) -> WittClass:
-    """Module scaling; the scalar may live over the rationals and is mapped in."""
-    if q.field == a.field:
-        return witt_mul(q, a)
-    if q.field.kind == fields.RATIONALS:
-        mapped = make_witt(
-            a.field, {canonicalize(Fraction(c.data), a.field): k for c, k in q.terms}
-        )
-        return witt_mul(mapped, a)
-    raise BackendMismatch("scalar backend cannot be mapped into the value backend")
-
-
 def pfister(field: FieldDescriptor, alphas) -> WittClass:
     """n-fold Pfister form <<a_1, ..., a_n>> = (x) <1, -a_i>; empty product is <1>."""
     out = witt_one(field)
@@ -251,6 +238,8 @@ def gram(field: FieldDescriptor, rows) -> GramMatrix:
 
 
 def gram_of_diagonal(q: DiagonalForm) -> GramMatrix:
+    if q.field.kind != fields.RATIONALS:
+        raise UnsupportedBackend("explicit Gram matrices are rational-only")
     n = q.dim
     rows = [
         [Fraction(q.entries[i].data) if i == j else Fraction(0) for j in range(n)]
@@ -357,23 +346,6 @@ def _disc_class(field: FieldDescriptor, entries: list[SquareClass]) -> SquareCla
     return disc
 
 
-def _hasse_places(entries: list[SquareClass]) -> set:
-    places = {2}
-    for e in entries:
-        n = abs(e.data)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                places.add(d)
-                while n % d == 0:
-                    n //= d
-            else:
-                d += 1 if d == 2 else 2
-        if n > 1:
-            places.add(n)
-    return places
-
-
 def witt_eq(a: WittClass, b: WittClass) -> bool:
     """Equality in W(k), decided per backend."""
     if a.field != b.field:
@@ -402,7 +374,7 @@ def witt_eq(a: WittClass, b: WittClass) -> bool:
     if not _disc_class(field, entries).is_trivial():
         return False
     target_exp = (m * (m - 1) // 2) % 2
-    for p in _hasse_places(entries):
+    for p in fields.hilbert_places(e.data for e in entries):
         s = 1
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
@@ -428,10 +400,6 @@ def form_to_json(q: DiagonalForm):
 
 def form_from_json(obj, field: FieldDescriptor) -> DiagonalForm:
     return DiagonalForm(field, tuple(fields.sq_from_json(e, field) for e in obj))
-
-
-def gram_to_json(g: GramMatrix):
-    return [[f"{x.numerator}/{x.denominator}" for x in row] for row in g.entries]
 
 
 def gram_from_json(obj, field: FieldDescriptor) -> GramMatrix:

@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +124,19 @@ def test_json_indent_flag(capsys, tmp_path):
     )
     assert code == 0
     assert out.startswith("{\n")
+
+
+def test_non_object_payload_is_input_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1, 2]"))
+    code = cli.run(["form", "lambda"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, wittcalc.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wittcalc import errors
+from wittcalc import cohomology, errors, fields
 from wittcalc.cohomology import (
     coh_add,
     coh_from_json,
@@ -169,3 +169,20 @@ def test_is_zero_unsupported_over_laurent_q():
     k = laurent_q(1)
     with pytest.raises(errors.UnsupportedBackend):
         is_zero(sym([2, (1, (0,))], k))
+
+
+def test_is_zero_visits_places_in_order(monkeypatch):
+    places = []
+
+    def recording(a, b, place):
+        places.append(place)
+        return fields.hilbert_symbol(a, b, place)
+
+    monkeypatch.setattr(cohomology, "hilbert_symbol", recording)
+    # every symbol vanishes, so no place ends the loop early: (-1, a) = 1 for
+    # a sum of two squares a, and (2, 7) = 1 since 7 = 3^2 - 2 * 1^2
+    c = sym([-1, 2])
+    for factors in ([-1, 5], [2, 7], [-1, 13]):
+        c = coh_add(c, sym(factors))
+    assert is_zero(c)
+    assert places == [v for v in (2, 5, 7, 13, fields.INF) for _ in c.symbols]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 from fractions import Fraction
 
 from wittcalc import errors
@@ -129,3 +130,18 @@ def test_json_roundtrip():
     assert back == alg
     pair = quadratic_pair(etale([poly_component([-2, 0, 1])]), [[0, 1]])
     assert pair_from_json(pair_to_json(pair)) == pair
+
+
+def test_trace_form_with_prime_pivot_cofactor():
+    # x^6 - 6x^5 - 3x^4 - 4x^3 - 8x^2 + 5x - 9: a pivot has the prime cofactor
+    # 1542617003933, above the square of the factor bound
+    coeffs = [-9, 5, -8, -4, -3, -6, 1]
+    q = trace_form(etale([poly_component(coeffs)]))
+    x = sympy.symbols("x")
+    f = sum(c * x**i for i, c in enumerate(coeffs))
+    assert sum(1 if e.data > 0 else -1 for e in q.entries) == len(sympy.real_roots(f))
+    det = 1
+    for e in q.entries:
+        det *= e.data
+    assert canonicalize(det, Q) == canonicalize(int(sympy.discriminant(f, x)), Q)
+    assert any(e.data % 1542617003933 == 0 for e in q.entries)

@@ -1,12 +1,14 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from wittcalc import errors, fields
 from wittcalc.fields import (
     basis_factors,
     canonicalize,
+    factor,
     finite_field,
     formal,
     hilbert_symbol,
@@ -150,3 +152,56 @@ def test_square_class_json_roundtrip():
     for f, raw in ((Q, -6), (F7, 3), (reals(), -2), (formal(2), (True, (1,)))):
         c = canonicalize(raw, f)
         assert sq_from_json(sq_to_json(c), f) == c
+
+
+@settings(max_examples=300)
+@given(st.integers(-10**9, 10**9).filter(bool))
+def test_factor_matches_sympy(m):
+    assert factor(m) == sorted(sympy.factorint(abs(m)).items())
+
+
+def test_factor_accepts_proven_prime_cofactors():
+    p = 1542617003933  # prime above bound^2: trial division alone cannot finish
+    assert factor(p) == [(p, 1)]
+    assert factor(-12 * p) == [(2, 2), (3, 1), (p, 1)]
+    assert canonicalize(1542617003933, Q).data == 1542617003933
+    # a product of two primes above the bound is not proven prime
+    with pytest.raises(errors.FactorLimitExceeded):
+        factor(1000003 * 1000033)
+
+
+def test_miller_rabin_is_deterministic():
+    # the least strong pseudoprime to the bases 2..37 is caught by base 41
+    assert not fields._proven_prime(318665857834031151167461)
+    # the least one to the bases 2..41 is not decided at all
+    assert not fields._proven_prime(fields.MR_LIMIT)
+    assert fields._proven_prime(2**61 - 1)
+
+
+squarefree = st.integers(-(10**6), 10**6).filter(bool).map(lambda n: canonicalize(n, Q))
+
+
+@settings(deadline=None)
+@given(squarefree, squarefree)
+def test_sq_mul_matches_canonical_product(a, b):
+    assert sq_mul(a, b) == canonicalize(a.data * b.data, Q)
+
+
+def test_sq_mul_of_big_primes_does_not_factor():
+    a, b = canonicalize(1000003, Q), canonicalize(1000033, Q)
+    assert sq_mul(a, b).data == 1000036000099
+    assert sq_mul(sq_mul(a, b), b) == a
+
+
+def test_f2_independent():
+    assert fields.f2_independent([canonicalize(r, Q) for r in (2, 3, -6)])
+    assert not fields.f2_independent([canonicalize(r, Q) for r in (2, 3, 6)])
+    assert not fields.f2_independent([canonicalize(1, Q)])
+
+
+def test_hilbert_symbol_does_not_factor_its_arguments():
+    p, q = 1000003, 1000033
+    for v in (2, 3, 5, p, fields.INF):
+        assert hilbert_symbol(p * q, -3, v) == hilbert_symbol(p, -3, v) * hilbert_symbol(q, -3, v)
+        assert hilbert_symbol(p * p, -3, v) == 1
+    assert hilbert_symbol(Fraction(p * q, 3), 5, 3) == hilbert_symbol(3 * p * q, 5, 3)

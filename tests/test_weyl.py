@@ -288,3 +288,12 @@ def test_sqrt_t_trace_form_specializes_over_q():
         from_diagonal(specialize_form(eval_aK(t), (3,))), from_diagonal(eval_aK(ts))
     )
     assert not witt_eq(from_diagonal(diagonal(Q, [1, 3])), from_diagonal(eval_aK(ts)))
+
+
+def test_twist_basis_rows_are_pinned():
+    # a regular orbit of (Z/2)^2: the character basis is reduced with the
+    # lowest generator as pivot, so d_2 comes before d_1 (the order trace
+    # forms, and so CLI output, list their entries in)
+    t = torsor(Q, [2, 3], (BN, 2), [wreath(2, (2, 1)), wreath(2, flips=(1, 2))])
+    alg = twist(t, gset_rho2(t))
+    assert [[c.data for c in comp.classes] for comp in alg.components] == [[3, 2]]

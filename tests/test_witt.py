@@ -167,3 +167,16 @@ def test_witt_eq_unsupported_over_laurent_q():
     a = from_diagonal(diagonal(k, [2, (1, (0,))]))
     with pytest.raises(errors.UnsupportedBackend):
         witt_eq(a, a)
+
+
+def test_big_prime_products():
+    q = diagonal(Q, [1000003, 1000033])
+    # the product is canonical without factoring; the bound applies to raw input only
+    assert witt_to_json(lambda_power(q, 2)) == [{"class": 1000036000099, "coeff": 1}]
+    assert witt_eq(pfister(Q, [1000003]), pfister(Q, [1000033])) is False
+
+
+def test_gram_of_diagonal_is_rational_only():
+    for field, raws in ((formal(1), [2]), (finite_field(7), [1, 3])):
+        with pytest.raises(errors.UnsupportedBackend):
+            gram_of_diagonal(diagonal(field, raws))
