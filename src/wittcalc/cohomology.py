@@ -28,7 +28,16 @@ from .fields import (
     hilbert_symbol,
     minus_one,
 )
-from .witt import DiagonalForm, PfisterPresentation
+from .witt import (
+    DiagonalForm,
+    PfisterPresentation,
+    lambda_power,
+    pfister,
+    witt_add,
+    witt_int_scale,
+    witt_mul,
+    witt_zero,
+)
 
 
 @dataclass(frozen=True)
@@ -59,23 +68,18 @@ def coh_unit(field: FieldDescriptor) -> CohClass:
     return CohClass(field, 0, frozenset({Symbol(field, ())}))
 
 
+def padded_symbol(field: FieldDescriptor, classes, degree: int) -> Symbol:
+    """Normal-form symbol: the distinct basis classes other than -1 in
+    ``classes``, padded with (-1) up to ``degree`` and sorted."""
+    m1 = minus_one(field)
+    factors = list(classes) + [m1] * (degree - len(classes))
+    factors.sort(key=lambda c: c.sort_key())
+    return Symbol(field, tuple(factors))
+
+
 def _reduce_symbol(field: FieldDescriptor, factors) -> Symbol:
     """Apply (a)(a) = (a)(-1) to exhaustion and sort the factors."""
-    m1 = minus_one(field)
-    minus_count = 0
-    counts: dict[SquareClass, int] = {}
-    for f in factors:
-        if f == m1:
-            minus_count += 1
-        else:
-            counts[f] = counts.get(f, 0) + 1
-    out = []
-    for cls, c in counts.items():
-        out.append(cls)
-        minus_count += c - 1
-    out.extend([m1] * minus_count)
-    out.sort(key=lambda c: c.sort_key())
-    return Symbol(field, tuple(out))
+    return padded_symbol(field, set(factors) - {minus_one(field)}, len(factors))
 
 
 def _xor(acc: set, sym: Symbol) -> None:
@@ -161,17 +165,26 @@ def e_map(p: PfisterPresentation) -> CohClass:
     return out
 
 
-def _sw_formal(q: DiagonalForm, d: int) -> CohClass:
-    """Fast path: degree-graded classes over formal(g) are sets of generator
-    subsets (bitmasks); cup with a degree-1 class is mask union."""
+def sw(q: DiagonalForm, d: int) -> CohClass:
+    """d-th Stiefel-Whitney class: sum of (a_{i_1})...(a_{i_d}) over subsets.
+
+    A normal-form symbol of degree j is the set of its basis classes other
+    than -1, kept as a bitmask, so cup with a basis class (b) is mask union:
+    (b)(b) = (b)(-1), and (-1) only adds padding.
+    """
+    if not 0 <= d <= q.dim:
+        raise DegreeOutOfRange(f"sw degree {d} out of range for dim {q.dim}")
     field = q.field
-    rows: list[set] = [set() for _ in range(d + 1)]
-    rows[0].add(0)
+    if field.kind == fields.FINITE and d >= 2:
+        return coh_zero(field, d)  # H^n(F_p) = 0 for n >= 2
+    m1 = minus_one(field)
+    bits: dict[SquareClass, int] = {}
+    rows: list[set] = [{0}] + [set() for _ in range(d)]
     for idx, a in enumerate(q.entries):
-        neg, gens = a.data
-        items = ([0] if neg else []) + [1 << i for i in gens]
-        if not items:
-            continue  # trivial entry kills every symbol containing it
+        items = [
+            0 if f == m1 else 1 << bits.setdefault(f, len(bits))
+            for f in basis_factors(a)
+        ]
         for j in range(min(d, idx + 1), 0, -1):
             tgt = rows[j]
             for it in items:
@@ -181,33 +194,12 @@ def _sw_formal(q: DiagonalForm, d: int) -> CohClass:
                         tgt.remove(mm)
                     else:
                         tgt.add(mm)
-    m1 = minus_one(field)
-    syms = set()
-    for mask in rows[d]:
-        gens = tuple(i for i in range(field.g) if mask >> i & 1)
-        factors = tuple(
-            sorted(
-                [m1] * (d - len(gens))
-                + [SquareClass(field, (False, (i,))) for i in gens],
-                key=lambda c: c.sort_key(),
-            )
-        )
-        syms.add(Symbol(field, factors))
-    return CohClass(field, d, frozenset(syms))
-
-
-def sw(q: DiagonalForm, d: int) -> CohClass:
-    """d-th Stiefel-Whitney class: sum of (a_{i_1})...(a_{i_d}) over subsets."""
-    if not 0 <= d <= q.dim:
-        raise DegreeOutOfRange(f"sw degree {d} out of range for dim {q.dim}")
-    if q.field.kind == fields.FORMAL:
-        return _sw_formal(q, d)
-    rows = [coh_unit(q.field)] + [coh_zero(q.field, j) for j in range(1, d + 1)]
-    for idx, a in enumerate(q.entries):
-        deg1 = symbol_normalize([a], q.field)
-        for j in range(min(d, idx + 1), 0, -1):
-            rows[j] = coh_add(rows[j], cup(rows[j - 1], deg1))
-    return rows[d]
+    classes = list(bits)
+    symbols = frozenset(
+        padded_symbol(field, [c for i, c in enumerate(classes) if mask >> i & 1], d)
+        for mask in rows[d]
+    )
+    return CohClass(field, d, symbols)
 
 
 def sw_mod(q: DiagonalForm, d: int) -> CohClass:
@@ -240,8 +232,6 @@ class ModSwLiftRecipe:
     two_scaled: tuple[int, ...] | None
 
     def apply(self, q: DiagonalForm):
-        from .witt import lambda_power, pfister, witt_add, witt_int_scale, witt_mul, witt_zero
-
         out = witt_zero(q.field)
         for l, c in enumerate(self.plain):
             out = witt_add(out, witt_int_scale(c, lambda_power(q, l)))

@@ -29,6 +29,10 @@ class FactorLimitExceeded(WittCalcError):
     pass
 
 
+class OrderingLimitExceeded(WittCalcError):
+    pass
+
+
 class DegreeOutOfRange(WittCalcError):
     pass
 

@@ -16,10 +16,12 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Union
 
 from .errors import (
+    BackendMismatch,
     BadBackend,
     BadPlace,
     FactorLimitExceeded,
     OrderingLengthMismatch,
+    OrderingLimitExceeded,
     UnsupportedBackend,
     ZeroElement,
 )
@@ -36,6 +38,9 @@ TOWERS = (FORMAL, LAURENT_Q)
 INF = "inf"
 
 DEFAULT_FACTOR_BOUND = 10**6
+
+#: largest g whose 2^g orderings are enumerated
+MAX_ORDERING_GENERATORS = 20
 
 
 #: Miller-Rabin with these bases decides primality exactly below MR_LIMIT
@@ -267,8 +272,6 @@ def generator(field: FieldDescriptor, i: int) -> SquareClass:
 
 
 def sq_mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    from .errors import BackendMismatch
-
     if a.field != b.field:
         raise BackendMismatch("square classes over different backends")
     field = a.field
@@ -412,8 +415,6 @@ def signature_at(a: SquareClass, ordering: tuple[int, ...]) -> int:
             raise OrderingLengthMismatch("reals carry a single empty ordering")
         return a.data
     if field.kind != FORMAL:
-        from .errors import BackendMismatch
-
         raise BackendMismatch("signatures exist only over reals/formal backends")
     if len(ordering) != field.g:
         raise OrderingLengthMismatch(
@@ -427,15 +428,21 @@ def signature_at(a: SquareClass, ordering: tuple[int, ...]) -> int:
 
 
 def orderings(field: FieldDescriptor) -> Iterator[tuple[int, ...]]:
-    """All orderings of the backend (2^g sign patterns; one for the reals)."""
-    if field.kind == REALS:
-        yield ()
-        return
-    if field.kind != FORMAL:
-        from .errors import BackendMismatch
+    """All orderings of the backend (2^g sign patterns; one for the reals).
 
+    Raises when called, not when first advanced, so a caller is refused
+    above the cap before it allocates anything of size 2^g.
+    """
+    if field.kind == REALS:
+        return iter([()])
+    if field.kind != FORMAL:
         raise BackendMismatch("orderings exist only over reals/formal backends")
-    yield from itertools.product((1, -1), repeat=field.g)
+    if field.g > MAX_ORDERING_GENERATORS:
+        raise OrderingLimitExceeded(
+            f"{field} has 2^{field.g} orderings; at most "
+            f"2^{MAX_ORDERING_GENERATORS} are enumerated"
+        )
+    return itertools.product((1, -1), repeat=field.g)
 
 
 def sq_to_json(a: SquareClass):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import fields
-from .cohomology import CohClass, Symbol, coh_add, coh_zero, cup
+from .cohomology import CohClass, cup, padded_symbol
 from .errors import (
     BackendMismatch,
     InvalidInput,
@@ -23,40 +23,22 @@ from .errors import (
     ResidualNonConstant,
     UnsupportedBackend,
 )
-from .fields import SquareClass, minus_one
-from .weyl import MultiquadraticTorsor
+from .weyl import MultiquadraticTorsor, torsor_from_json, torsor_to_json
 from .witt import (
     WittClass,
     filtration_degree,
     pfister,
+    signatures,
     total_signature,
     witt_add,
     witt_eq,
+    witt_from_json,
     witt_int_scale,
     witt_mul,
     witt_sub,
+    witt_to_json,
     witt_zero,
 )
-
-
-def _subset_symbol(field, subset: tuple[int, ...], degree: int) -> Symbol:
-    m1 = minus_one(field)
-    factors = [m1] * (degree - len(subset))
-    factors.extend(SquareClass(field, (False, (i,))) for i in subset)
-    factors.sort(key=lambda c: c.sort_key())
-    return Symbol(field, tuple(factors))
-
-
-def _class_to_subsets(c: CohClass) -> set:
-    """Normalized formal symbols of degree d <-> generator subsets."""
-    out = set()
-    for sym in c.symbols:
-        subset = []
-        for f in sym.factors:
-            neg, gens = f.data
-            subset.extend(gens)
-        out.add(tuple(sorted(subset)))
-    return out
 
 
 def e_extract(w: WittClass, d: int) -> CohClass:
@@ -66,35 +48,32 @@ def e_extract(w: WittClass, d: int) -> CohClass:
         raise UnsupportedBackend("signature interpolation needs the formal backend")
     g = field.g
     scale = 2**d
-    # f indexed by the negative-generator subset of the ordering
-    f: dict[tuple[int, ...], int] = {}
-    for neg_set in itertools.chain.from_iterable(
-        itertools.combinations(range(g), k) for k in range(g + 1)
-    ):
-        eps = tuple(-1 if i in neg_set else 1 for i in range(g))
-        s = total_signature(w, eps)
+    sigs = signatures(w)  # raises OrderingLimitExceeded before 2^g slots exist
+    # f indexed by the mask of the ordering's negative generators
+    f = [0] * (1 << g)
+    for eps, s in sigs.items():
         if s % scale:
             raise NotInIdealPower(f"signature {s} not divisible by 2^{d}")
-        f[neg_set] = (s // scale) % 2
-    out = coh_zero(field, d)
-    for size in range(g + 1):
-        for subset in itertools.combinations(range(g), size):
-            c = 0
-            for k in range(size + 1):
-                for sub in itertools.combinations(subset, k):
-                    c ^= f[sub]
-            if c:
-                if size > d:
-                    raise NotInIdealPower(
-                        "signature function has degree above the requested power"
-                    )
-                out = coh_add(
-                    out,
-                    CohClass(
-                        field, d, frozenset({_subset_symbol(field, subset, d)})
-                    ),
-                )
-    return out
+        f[sum(1 << i for i, e in enumerate(eps) if e < 0)] = (s // scale) % 2
+    # in-place subset zeta transform over F2: f[S] becomes the xor of f[T]
+    # over T in S, the coefficient of prod_{i in S} x_i
+    for i in range(g):
+        bit = 1 << i
+        for m in range(1 << g):
+            if m & bit:
+                f[m] ^= f[m ^ bit]
+    gens = [fields.generator(field, i) for i in range(g)]
+    symbols = set()
+    for mask, c in enumerate(f):
+        if not c:
+            continue
+        if mask.bit_count() > d:
+            raise NotInIdealPower(
+                "signature function has degree above the requested power"
+            )
+        factors = [gens[i] for i in range(g) if mask >> i & 1]
+        symbols.add(padded_symbol(field, factors, d))
+    return CohClass(field, d, frozenset(symbols))
 
 
 @dataclass(frozen=True)
@@ -152,12 +131,15 @@ def decompose(
         if tab.declared_degree > n0:
             raise InvalidInput("generator degree exceeds n0")
     g = field.g
+    eps_list = list(fields.orderings(field))
     nsamples = len(target.samples)
     residual = list(target.values)
     coeffs = [witt_zero(field) for _ in generators]
-    basis_subsets = {
+    gens = [fields.generator(field, j) for j in range(g)]
+    # degree-n normal-form symbols, by generator subset: size, then lexicographic
+    basis = {
         n: [
-            s
+            padded_symbol(field, [gens[j] for j in s], n)
             for k in range(min(n, g) + 1)
             for s in itertools.combinations(range(g), k)
         ]
@@ -167,42 +149,35 @@ def decompose(
         r_sym = [e_extract(residual[s], n) for s in range(nsamples)]
         if all(c.is_presented_zero() for c in r_sym):
             continue
-        # unknowns: (generator index, coefficient symbol subset)
+        # unknowns: (generator index, coefficient symbol)
         unknowns = []
-        columns = []  # per unknown, per sample, the degree-n subset set
+        columns = []  # per unknown, per sample, the degree-n symbols
         for i, tab in enumerate(generators):
             m = tab.declared_degree
             if m > n:
                 continue
             gen_sym = [e_extract(tab.values[s], m) for s in range(nsamples)]
-            for subset in basis_subsets[n - m]:
-                beta = CohClass(
-                    field, n - m, frozenset({_subset_symbol(field, subset, n - m)})
-                )
-                unknowns.append((i, subset, n - m))
+            for beta in basis[n - m]:
+                beta_cls = CohClass(field, n - m, frozenset({beta}))
+                unknowns.append((i, beta))
                 columns.append(
-                    [_class_to_subsets(cup(beta, gen_sym[s])) for s in range(nsamples)]
+                    [cup(beta_cls, gen_sym[s]).symbols for s in range(nsamples)]
                 )
         rows = []
         for s in range(nsamples):
-            rhs_sets = _class_to_subsets(r_sym[s])
-            for tgt_subset in basis_subsets[n]:
+            for tgt in basis[n]:
                 mask = 0
                 for u, col in enumerate(columns):
-                    if tgt_subset in col[s]:
+                    if tgt in col[s]:
                         mask |= 1 << u
-                rows.append((mask, 1 if tgt_subset in rhs_sets else 0))
+                rows.append((mask, 1 if tgt in r_sym[s].symbols else 0))
         sol = _solve_f2(rows, len(unknowns))
         if sol is None:
             raise NotInSpan(f"degree-{n} image not in the span of the generators")
-        eps_list = list(fields.orderings(field))
-        for u, (i, subset, deg) in enumerate(unknowns):
+        for u, (i, beta) in enumerate(unknowns):
             if not (sol >> u & 1):
                 continue
-            alphas = [minus_one(field)] * (deg - len(subset)) + [
-                SquareClass(field, (False, (j,))) for j in subset
-            ]
-            q = pfister(field, alphas)
+            q = pfister(field, beta.factors)
             # +q and -q have the same mod-2 image; pick the sign that
             # shrinks the signature profile of the residual
             best = None
@@ -229,9 +204,6 @@ def decompose(
 
 
 def table_to_json(tab: EvaluationTable):
-    from .weyl import torsor_to_json
-    from .witt import witt_to_json
-
     return {
         "samples": [torsor_to_json(t) for t in tab.samples],
         "values": [witt_to_json(w) for w in tab.values],
@@ -240,9 +212,6 @@ def table_to_json(tab: EvaluationTable):
 
 
 def table_from_json(obj) -> EvaluationTable:
-    from .weyl import torsor_from_json
-    from .witt import witt_from_json
-
     samples = tuple(torsor_from_json(t) for t in obj["samples"])
     field = samples[0].field if samples else None
     values = tuple(witt_from_json(w, field) for w in obj["values"])

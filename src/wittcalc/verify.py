@@ -19,7 +19,7 @@ from .etale import (
     quadratic_pair,
     trace_form,
 )
-from .fields import canonicalize, formal, hilbert_symbol, rationals
+from .fields import canonicalize, formal, generator, hilbert_symbol, rationals
 from .lifting import EvaluationTable, decompose, e_extract
 from .sampling import (
     random_form,
@@ -340,9 +340,9 @@ def suite_weyl_consistency(seed: int = 0) -> dict:
 
     # rank-2 basis on the four designated formal(2) torsors
     f2 = formal(2)
-    swap2 = torsor(f2, [(False, (0,))], (SN, 2), [wreath(2, (2, 1))])
+    swap2 = torsor(f2, [generator(f2, 0)], (SN, 2), [wreath(2, (2, 1))])
     split2 = trivial_torsor(f2, SN, 2, m=0)
-    trans3 = torsor(f2, [(False, (1,))], (SN, 3), [wreath(3, (2, 1, 3))])
+    trans3 = torsor(f2, [generator(f2, 1)], (SN, 3), [wreath(3, (2, 1, 3))])
     split3 = trivial_torsor(f2, SN, 3, m=0)
     samples = [(swap2, split3), (split2, trans3), (swap2, trans3), (split2, split3)]
     evals = [eval_g2_basis(t2, t3) for t2, t3 in samples]

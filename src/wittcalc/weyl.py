@@ -19,9 +19,11 @@ from .cohomology import (
     CohClass,
     coh_add,
     coh_unit,
+    coh_zero,
     cup,
     sw_mod,
     sw_mod_lift,
+    symbol_normalize,
 )
 from .errors import (
     BadBackend,
@@ -414,8 +416,6 @@ def specialize_form(q: DiagonalForm, subs) -> DiagonalForm:
 
 def specialize_coh(c: CohClass, subs) -> CohClass:
     """Symbol class over Q((t_1))...((t_g)) specialized factorwise to Q."""
-    from .cohomology import coh_zero, symbol_normalize
-
     out = coh_zero(rationals(), c.degree)
     for sym in c.symbols:
         out = coh_add(

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,23 @@ def test_non_object_payload_is_input_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_ordering_cap_is_input_error(tmp_path):
+    # 2^40 orderings: refused up front, not enumerated
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"witt": [{"class": {"neg": False, "gens": [0]}, "coeff": 1}]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["form", "filtration", "--field", "formal:40", "--input", str(f)]
+    t0 = time.monotonic()
+    out = subprocess.run(
+        [sys.executable, "-m", "wittcalc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=1,
+    )
+    assert time.monotonic() - t0 < 1
+    assert out.returncode == 2
+    assert json.loads(out.stderr)["error"] == "OrderingLimitExceeded"
 
 
 def test_cli_import_leaves_numpy_out():

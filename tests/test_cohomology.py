@@ -111,14 +111,23 @@ def test_sw_first_class_is_discriminant():
 
 def test_sw_formal_fast_path_matches_subset_formula():
     rng = random.Random(9)
-    f = formal(3)
-    for _ in range(10):
-        q = random_form(rng, f, rng.randint(1, 5))
-        for d in range(q.dim + 1):
-            brute = coh_zero(f, d)
-            for idx in itertools.combinations(range(q.dim), d):
-                brute = coh_add(brute, sym([q.entries[i] for i in idx], f))
-            assert sw(q, d) == brute
+    backends = [formal(3), Q, fields.reals(), finite_field(5), finite_field(7), laurent_q(2)]
+    for f in backends:
+        for _ in range(10):
+            dim = rng.randint(1, 5)
+            if f.kind == fields.LAURENT_Q:
+                entries = []
+                for _ in range(dim):
+                    r = rng.choice((1, -1)) * rng.randint(1, 30)
+                    entries.append((r, tuple(i for i in range(f.g) if rng.random() < 0.5)))
+                q = diagonal(f, entries)
+            else:
+                q = random_form(rng, f, dim)
+            for d in range(q.dim + 1):
+                brute = coh_zero(f, d)
+                for idx in itertools.combinations(range(q.dim), d):
+                    brute = coh_add(brute, sym([q.entries[i] for i in idx], f))
+                assert sw(q, d) == brute, (f, q, d)
 
 
 def test_whitney_sum_formula():

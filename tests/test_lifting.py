@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wittcalc import errors
+from wittcalc import errors, fields
 from wittcalc.cohomology import coh_add, coh_zero, e_map
 from wittcalc.fields import canonicalize, formal, rationals
 from wittcalc.lifting import (
@@ -18,6 +18,7 @@ from wittcalc.weyl import BN, lift_u
 from wittcalc.witt import (
     filtration_degree,
     pfister,
+    signatures,
     witt_add,
     witt_eq,
     witt_int_scale,
@@ -146,6 +147,48 @@ def test_decompose_constant_offset():
         for c, tab in zip(dec.coefficients, tables):
             rebuilt = witt_add(rebuilt, witt_mul(c, tab.values[s]))
         assert witt_eq(rebuilt, target.values[s])
+
+
+def test_decompose_output_is_pinned():
+    # recorded before e_extract and decompose moved onto normal-form
+    # symbols; listing the unknowns of a generator in reverse order makes
+    # this input raise ResidualNonConstant instead
+    rng = random.Random(0)
+    samples, tables = make_tables(rng)
+    t = [gen(F4, i) for i in range(4)]
+    c0 = witt_add(pfister(F4, [t[0]]), pfister(F4, [t[2], t[3]]))
+    c1 = witt_sub(pfister(F4, [t[1]]), pfister(F4, [t[1], t[2]]))
+    values = tuple(
+        witt_add(witt_mul(c0, tables[0].values[s]), witt_mul(c1, tables[1].values[s]))
+        for s in range(len(samples))
+    )
+    dec = decompose(EvaluationTable(samples, values, 0), tables, n0=4)
+    got = [[(cls.data, k) for cls, k in c.terms] for c in dec.coefficients]
+    assert got == [
+        [
+            ((False, ()), 2),
+            ((False, (0,)), -1),
+            ((False, (2,)), -1),
+            ((False, (2, 3)), 1),
+            ((False, (3,)), -1),
+        ],
+        [((False, (1, 2)), -1), ((False, (2,)), 1)],
+        [],
+    ]
+    assert dec.constant.terms == ()
+    assert dec.residual_ok
+
+
+def test_ordering_cap():
+    f = formal(fields.MAX_ORDERING_GENERATORS + 1)
+    w = pfister(f, [gen(f, 0)])
+    with pytest.raises(errors.OrderingLimitExceeded):
+        signatures(w)
+    with pytest.raises(errors.OrderingLimitExceeded):
+        filtration_degree(w, 2)
+    with pytest.raises(errors.OrderingLimitExceeded):
+        e_extract(w, 1)
+    fields.orderings(formal(fields.MAX_ORDERING_GENERATORS))  # at the cap: allowed
 
 
 def test_table_validation():
