@@ -85,11 +85,8 @@ def _cmd_coh(args) -> int:
     elif op == "e-map":
         spec = payload["pfister"]
         terms = tuple(
-            (
-                int(t["coeff"]),
-                tuple(fields.sq_from_json(g, field) for g in t["gens"]),
-            )
-            for t in spec["terms"]
+            (k, tuple(fields.sq_from_json(g, field) for g in t["gens"]))
+            for t, k in witt.terms_from_json(spec["terms"])
         )
         p = PfisterPresentation(field, int(spec["degree"]), terms)
         _emit({"coh": cohomology.coh_to_json(cohomology.e_map(p))}, args)

@@ -386,7 +386,12 @@ def hilbert_symbol(a, b, place) -> int:
         return -1 if (a < 0 and b < 0) else 1
     if not isinstance(place, int) or not _is_prime(place):
         raise BadPlace(f"{place!r} is not a prime or infinity")
-    p = place
+    return _hilbert_at_prime(a, b, place)
+
+
+def _hilbert_at_prime(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers a, b at a prime p that the caller has
+    already proved prime (a place from hilbert_places); p is not checked."""
     if p == 2:
         alpha, u = _two_val(abs(a))
         beta, v = _two_val(abs(b))
@@ -401,10 +406,13 @@ def hilbert_symbol(a, b, place) -> int:
     while v % p == 0:
         v //= p
         beta += 1
-    leg_u = 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
-    leg_v = 1 if pow(v % p, (p - 1) // 2, p) == 1 else -1
-    sign = -1 if (alpha * beta * _eps(p)) % 2 else 1
-    return sign * (leg_u**beta) * (leg_v**alpha)
+    s = -1 if (alpha * beta * _eps(p)) % 2 else 1
+    # the Legendre symbol of u enters to the power beta, that of v to alpha
+    if beta % 2 and pow(u % p, (p - 1) // 2, p) != 1:
+        s = -s
+    if alpha % 2 and pow(v % p, (p - 1) // 2, p) != 1:
+        s = -s
+    return s
 
 
 def signature_at(a: SquareClass, ordering: tuple[int, ...]) -> int:

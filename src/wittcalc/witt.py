@@ -17,13 +17,13 @@ from .errors import (
     BackendMismatch,
     DegenerateMatrix,
     DegreeOutOfRange,
+    InvalidInput,
     UnsupportedBackend,
 )
 from .fields import (
     FieldDescriptor,
     SquareClass,
     canonicalize,
-    hilbert_symbol,
     minus_one,
     orderings,
     signature_at,
@@ -298,14 +298,16 @@ def diagonalize(g: GramMatrix) -> DiagonalForm:
     return DiagonalForm(g.field, tuple(entries))
 
 
+def _runs(a: WittClass) -> list[tuple[SquareClass, int]]:
+    """The class as runs (rep, m) of m > 0 equal diagonal entries <rep>
+    (m copies of <-x> for -m<x>), one run per term."""
+    m1 = minus_one(a.field)
+    return [(cls, k) if k > 0 else (sq_mul(cls, m1), -k) for cls, k in a.terms]
+
+
 def _realized_entries(a: WittClass) -> list[SquareClass]:
     """Actual diagonal entries representing the class (<-x> for -<x>)."""
-    out = []
-    m1 = minus_one(a.field)
-    for cls, k in a.terms:
-        rep = cls if k > 0 else sq_mul(cls, m1)
-        out.extend([rep] * abs(k))
-    return out
+    return [rep for rep, m in _runs(a) for _ in range(m)]
 
 
 def total_signature(a: WittClass, ordering: tuple[int, ...]) -> int:
@@ -361,36 +363,77 @@ def witt_eq(a: WittClass, b: WittClass) -> bool:
         return w.is_presented_zero()
     if field.kind == fields.REALS:
         return total_signature(w, ()) == 0
-    entries = _realized_entries(w)
-    if len(entries) % 2:
+    # w is hyperbolic iff dim 2h, trivial discriminant and, over Q,
+    # signature 0 and the Hasse invariant of h hyperbolic planes everywhere.
+    # Each run of m equal entries is read once, so the cost does not grow
+    # with m.
+    runs = _runs(w)
+    dim = sum(m for _, m in runs)
+    if dim % 2:
+        return False
+    h = dim // 2
+    # disc = (-1)^(dim(dim-1)/2) times the entries, and dim(dim-1)/2 = h mod 2
+    disc = minus_one(field) if h % 2 else trivial_class(field)
+    for rep, m in runs:
+        if m % 2:
+            disc = sq_mul(disc, rep)
+    if not disc.is_trivial():
         return False
     if field.kind == fields.FINITE:
-        return _disc_class(field, entries).is_trivial()
-    # rationals: w is hyperbolic iff dim 2m, signature 0, trivial
-    # discriminant, and Hasse invariant of m hyperbolic planes everywhere
-    m = len(entries) // 2
-    if sum(1 if e.data > 0 else -1 for e in entries) != 0:
+        return True
+    if sum(m if rep.data > 0 else -m for rep, m in runs) != 0:
         return False
-    if not _disc_class(field, entries).is_trivial():
-        return False
-    target_exp = (m * (m - 1) // 2) % 2
-    for p in fields.hilbert_places(e.data for e in entries):
-        s = 1
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                s *= hilbert_symbol(entries[i].data, entries[j].data, p)
-        if s != hilbert_symbol(-1, -1, p) ** target_exp:
+    target_exp = (h * (h - 1) // 2) % 2
+    for p in fields.hilbert_places(rep.data for rep, _ in runs):
+        if _hasse_invariant(runs, p) != fields._hilbert_at_prime(-1, -1, p) ** target_exp:
             return False
     return True
+
+
+def _hasse_invariant(runs: list[tuple[SquareClass, int]], p: int) -> int:
+    """prod_{i<j} (a_i, a_j)_p over the realized entries a_i of ``runs``
+    over Q, at a place p from fields.hilbert_places.
+
+    By bilinearity it is prod_j (a_1...a_{j-1}, a_j)_p (Serre, A Course in
+    Arithmetic, III.1).  A run of m entries <r> after the prefix product P
+    contributes (P, r)_p^m (r, r)_p^(m(m-1)/2), one symbol since
+    (r, r) = (-1, r); P is kept squarefree, so it is never factored.
+    """
+    s, prefix = 1, 1
+    for rep, m in runs:
+        r = rep.data
+        a = prefix if m % 2 else 1
+        if m * (m - 1) // 2 % 2:
+            a = -a
+        s *= fields._hilbert_at_prime(a, r, p)
+        if m % 2:
+            prefix = fields._squarefree_mul(prefix, r)
+    return s
 
 
 def witt_to_json(a: WittClass):
     return [{"class": fields.sq_to_json(c), "coeff": k} for c, k in a.terms]
 
 
+def terms_from_json(obj) -> list[tuple[dict, int]]:
+    """(term object, coeff) for a JSON list of term objects, each with a
+    JSON-integer ``coeff``; anything else raises InvalidInput."""
+    if not isinstance(obj, list):
+        raise InvalidInput(f"expected a list of terms, got {obj!r}")
+    out = []
+    for t in obj:
+        if not isinstance(t, dict):
+            raise InvalidInput(f"expected a term object, got {t!r}")
+        k = t["coeff"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise InvalidInput(f"coeff must be an integer, got {k!r}")
+        out.append((t, k))
+    return out
+
+
 def witt_from_json(obj, field: FieldDescriptor) -> WittClass:
     return make_witt(
-        field, [(fields.sq_from_json(t["class"], field), int(t["coeff"])) for t in obj]
+        field, [(fields.sq_from_json(t["class"], field), k) for t, k in terms_from_json(obj)]
     )
 
 

@@ -158,3 +158,19 @@ def test_cli_import_leaves_numpy_out():
     code = "import sys, wittcalc.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["form", "eq"], {"a": [2], "b": []}),
+        (["form", "eq"], {"a": {"class": 2}, "b": []}),
+        (["form", "eq"], {"a": [{"class": 2, "coeff": 1.5}], "b": []}),
+        (["form", "eq"], {"a": [{"class": 2, "coeff": True}], "b": []}),
+        (["coh", "e-map"], {"pfister": {"degree": 1, "terms": [{"coeff": 1.5, "gens": [2]}]}}),
+    ],
+)
+def test_malformed_witt_terms_are_input_errors(capsys, tmp_path, argv, payload):
+    code, out, err = run_json(capsys, argv, payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"

@@ -1,10 +1,20 @@
+import math
 import random
+import time
 
 import pytest
 from fractions import Fraction
 
-from wittcalc import errors
-from wittcalc.fields import canonicalize, finite_field, formal, laurent_q, rationals, reals
+from wittcalc import errors, fields
+from wittcalc.fields import (
+    canonicalize,
+    finite_field,
+    formal,
+    hilbert_symbol,
+    laurent_q,
+    rationals,
+    reals,
+)
 from wittcalc.sampling import random_form
 from wittcalc.witt import (
     diagonal,
@@ -20,6 +30,7 @@ from wittcalc.witt import (
     signatures,
     virtual_rank,
     witt_add,
+    witt_int_scale,
     witt_eq,
     witt_from_json,
     witt_mul,
@@ -180,3 +191,119 @@ def test_gram_of_diagonal_is_rational_only():
     for field, raws in ((formal(1), [2]), (finite_field(7), [1, 3])):
         with pytest.raises(errors.UnsupportedBackend):
             gram_of_diagonal(diagonal(field, raws))
+
+
+def test_witt_eq_does_not_expand_coefficients():
+    # k<3> = k<1> and k<-7> = k<-1> exactly when 4 | k: 3 and 7 are not
+    # sums of two squares, but every positive integer is a sum of four
+    for a, b in ((3, 1), (-7, -1)):
+        for k in range(1, 13):
+            assert witt_eq(witt_int_scale(k, wq(a)), witt_int_scale(k, wq(b))) == (k % 4 == 0)
+    t0 = time.monotonic()
+    for a, b in ((3, 1), (-7, -1)):
+        for k in (10**6, 10**6 + 2):
+            assert witt_eq(witt_int_scale(k, wq(a)), witt_int_scale(k, wq(b))) == (k % 4 == 0)
+    assert time.monotonic() - t0 < 1
+
+
+def _entries(w):
+    return [cls.data if k > 0 else -cls.data for cls, k in w.terms for _ in range(abs(k))]
+
+
+def _rewrite(entries):
+    """An isometric form: each pair <x, y> with x + y != 0 becomes
+    <x + y, xy(x + y)>."""
+    out = list(entries)
+    for i in range(0, len(out) - 1, 2):
+        x, y = out[i], out[i + 1]
+        if x + y:
+            out[i], out[i + 1] = x + y, x * y * (x + y)
+    return out
+
+
+def _hyperbolic_by_definition(w) -> bool:
+    """Hasse-Minkowski with the pairwise Hasse product prod_{i<j} (a_i, a_j)_p."""
+    a = _entries(w)
+    n = len(a)
+    if n % 2 or sum(1 if x > 0 else -1 for x in a) != 0:
+        return False
+    disc = (-1) ** (n * (n - 1) // 2) * math.prod(a)
+    if disc < 0 or math.isqrt(disc) ** 2 != disc:
+        return False
+    h = n // 2
+    for p in fields.hilbert_places(a):
+        s = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                s *= hilbert_symbol(a[i], a[j], p)
+        if s != hilbert_symbol(-1, -1, p) ** (h * (h - 1) // 2):
+            return False
+    return True
+
+
+def test_witt_eq_matches_pairwise_hasse_oracle():
+    rng = random.Random(2024)
+    pool = [x for x in range(-60, 61) if x]
+
+    def random_class(dim):
+        terms = []
+        while dim > 0:
+            k = rng.randint(1, min(4, dim))
+            dim -= k
+            terms.append((canonicalize(rng.choice(pool), Q), k * rng.choice((1, -1))))
+        return make_witt(Q, terms)
+
+    def hasse_pair(at_two):
+        # (u, v)_p = -1 at p = 2 or at an odd prime p, with <<u, v>> of
+        # signature 0: dim, signature and discriminant are hyperbolic
+        while True:
+            u, v = rng.choice(pool), rng.choice(pool)
+            if u < 0 and v < 0:
+                continue
+            if at_two and hilbert_symbol(u, v, 2) == -1:
+                return u, v
+            odd = [p for p in fields.hilbert_places((u, v)) if p > 2]
+            if not at_two and any(hilbert_symbol(u, v, p) == -1 for p in odd):
+                return u, v
+
+    answers = []
+    for _ in range(120):
+        a = random_class(rng.randint(1, 16))
+        isometric = from_diagonal(diagonal(Q, _rewrite(_entries(a))))
+        for b in (random_class(rng.randint(1, 16)), isometric):
+            got = witt_eq(a, b)
+            assert got == _hyperbolic_by_definition(witt_sub(a, b))
+            answers.append(got)
+        for at_two in (False, True):
+            b = witt_add(isometric, pfister(Q, hasse_pair(at_two)))
+            assert _hyperbolic_by_definition(witt_sub(a, b)) is False
+            assert witt_eq(a, b) is False
+    assert True in answers and False in answers
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for x in range(-60, 61):
+            for y in range(-60, 61):
+                if x and y:
+                    # the public entry on other representatives of the classes
+                    assert fields._hilbert_at_prime(x, y, p) == hilbert_symbol(
+                        Fraction(x, 9), 4 * y, p
+                    )
+
+
+def test_witt_eq_172_entries_factors_each_class_once(monkeypatch):
+    rng = random.Random(172)
+    entries = rng.sample([x for x in range(-10**5, 10**5 + 1) if x], 86)
+    a, b = wq(*entries), wq(*_rewrite(entries))
+    classes = len(witt_sub(a, b).terms)
+    calls = []
+    factor = fields.factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "factor", counting)
+    t0 = time.monotonic()
+    assert witt_eq(a, b) is True
+    assert time.monotonic() - t0 < 0.5
+    assert len(calls) <= classes + 1
