@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import cohomology, etale, fields, lifting, verify, weyl, witt
-from .errors import InvalidInput, WittCalcError
+from .errors import WittCalcError
 from .fields import parse_field
 from .witt import PfisterPresentation
 
@@ -23,9 +23,7 @@ def _load_payload(args) -> dict:
     else:
         data = sys.stdin.read()
         payload = json.loads(data) if data.strip() else {}
-    if not isinstance(payload, dict):
-        raise InvalidInput(f"payload must be a JSON object, got {type(payload).__name__}")
-    return payload
+    return fields.json_checked(payload, dict, "payload")
 
 
 def _emit(obj, args) -> None:
@@ -41,7 +39,7 @@ def _degree(args, payload, key: str = "d") -> int:
     if getattr(args, "degree", None) is not None:
         return args.degree
     if key in payload:
-        return int(payload[key])
+        return fields.json_checked(payload[key], int, key)
     raise WittCalcError("missing degree (use --degree or payload key 'd')")
 
 
@@ -57,7 +55,8 @@ def _cmd_form(args) -> int:
         out = witt.lambda_power(q, _degree(args, payload))
         _emit({"witt": witt.witt_to_json(out)}, args)
     elif op == "pfister":
-        out = witt.pfister(field, [fields.sq_from_json(a, field) for a in payload["alphas"]])
+        alphas = fields.json_checked(payload["alphas"], list, "alphas")
+        out = witt.pfister(field, [fields.sq_from_json(a, field) for a in alphas])
         _emit({"witt": witt.witt_to_json(out)}, args)
     elif op == "diagonalize":
         g = witt.gram_from_json(payload["gram"], field)
@@ -68,7 +67,7 @@ def _cmd_form(args) -> int:
         _emit({"equal": witt.witt_eq(a, b)}, args)
     elif op == "filtration":
         w = witt.witt_from_json(payload["witt"], field)
-        cap = int(payload.get("cap", 8))
+        cap = fields.json_checked(payload.get("cap", 8), int, "cap")
         _emit({"degree": witt.filtration_degree(w, cap)}, args)
     return 0
 
@@ -83,12 +82,13 @@ def _cmd_coh(args) -> int:
         out = fn(q, _degree(args, payload))
         _emit({"coh": cohomology.coh_to_json(out)}, args)
     elif op == "e-map":
-        spec = payload["pfister"]
-        terms = tuple(
-            (k, tuple(fields.sq_from_json(g, field) for g in t["gens"]))
-            for t, k in witt.terms_from_json(spec["terms"])
-        )
-        p = PfisterPresentation(field, int(spec["degree"]), terms)
+        spec = fields.json_checked(payload["pfister"], dict, "pfister")
+        terms = []
+        for t, k in witt.terms_from_json(spec["terms"]):
+            gens = fields.json_checked(t["gens"], list, "gens")
+            terms.append((k, tuple(fields.sq_from_json(g, field) for g in gens)))
+        degree = fields.json_checked(spec["degree"], int, "degree")
+        p = PfisterPresentation(field, degree, tuple(terms))
         _emit({"coh": cohomology.coh_to_json(cohomology.e_map(p))}, args)
     elif op == "is-zero":
         c = cohomology.coh_from_json(payload["coh"], field)
@@ -141,7 +141,7 @@ def _cmd_lift(args) -> int:
     payload = _load_payload(args)
     target = lifting.table_from_json(payload["target"])
     gens = [lifting.table_from_json(t) for t in payload["generators"]]
-    n0 = args.n0 if args.n0 is not None else int(payload.get("n0", 4))
+    n0 = fields.json_checked(payload.get("n0", 4), int, "n0") if args.n0 is None else args.n0
     dec = lifting.decompose(target, gens, n0)
     _emit(
         {

@@ -265,8 +265,10 @@ def coh_to_json(c: CohClass):
 
 
 def coh_from_json(obj, field: FieldDescriptor) -> CohClass:
-    out = coh_zero(field, int(obj["degree"]))
-    for factors in obj["symbols"]:
+    obj = fields.json_checked(obj, dict, "coh")
+    out = coh_zero(field, fields.json_checked(obj["degree"], int, "degree"))
+    for factors in fields.json_checked(obj["symbols"], list, "symbols"):
+        factors = fields.json_checked(factors, list, "symbol")
         out = coh_add(
             out, symbol_normalize([fields.sq_from_json(f, field) for f in factors], field)
         )

@@ -20,6 +20,7 @@ from .errors import (
     BadBackend,
     BadPlace,
     FactorLimitExceeded,
+    InvalidInput,
     OrderingLengthMismatch,
     OrderingLimitExceeded,
     UnsupportedBackend,
@@ -453,6 +454,17 @@ def orderings(field: FieldDescriptor) -> Iterator[tuple[int, ...]]:
     return itertools.product((1, -1), repeat=field.g)
 
 
+_JSON_KINDS = {list: "a list", dict: "an object", int: "an integer"}
+
+
+def json_checked(obj, kind: type, what: str):
+    """obj if it is a JSON list, object or integer as ``kind`` asks (a bool
+    is not an integer); anything else raises InvalidInput."""
+    if not isinstance(obj, kind) or isinstance(obj, bool):
+        raise InvalidInput(f"{what} must be {_JSON_KINDS[kind]}, got {obj!r}")
+    return obj
+
+
 def sq_to_json(a: SquareClass):
     if a.field.kind == RATIONALS:
         return a.data
@@ -480,7 +492,9 @@ def sq_from_json(obj, field: FieldDescriptor) -> SquareClass:
     if field.kind == FORMAL:
         if not isinstance(obj, dict):
             raise BadBackend(f"expected formal square class object, got {obj!r}")
-        return canonicalize((obj.get("neg", False), tuple(obj.get("gens", ()))), field)
+        gens = json_checked(obj.get("gens", []), list, "gens")
+        gens = tuple(json_checked(i, int, "generator index") for i in gens)
+        return canonicalize((obj.get("neg", False), gens), field)
     raise _unsupported(field, "JSON")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import xor
 
 from . import fields
 from .cohomology import CohClass, cup, padded_symbol
@@ -28,8 +29,7 @@ from .witt import (
     WittClass,
     filtration_degree,
     pfister,
-    signatures,
-    total_signature,
+    signature_vector,
     witt_add,
     witt_eq,
     witt_from_json,
@@ -48,20 +48,16 @@ def e_extract(w: WittClass, d: int) -> CohClass:
         raise UnsupportedBackend("signature interpolation needs the formal backend")
     g = field.g
     scale = 2**d
-    sigs = signatures(w)  # raises OrderingLimitExceeded before 2^g slots exist
-    # f indexed by the mask of the ordering's negative generators
-    f = [0] * (1 << g)
-    for eps, s in sigs.items():
-        if s % scale:
-            raise NotInIdealPower(f"signature {s} not divisible by 2^{d}")
-        f[sum(1 << i for i, e in enumerate(eps) if e < 0)] = (s // scale) % 2
-    # in-place subset zeta transform over F2: f[S] becomes the xor of f[T]
-    # over T in S, the coefficient of prod_{i in S} x_i
-    for i in range(g):
-        bit = 1 << i
-        for m in range(1 << g):
-            if m & bit:
-                f[m] ^= f[m ^ bit]
+    sigs = signature_vector(w)  # by the mask of the negative generators
+    bad = next((s for s in sigs if s % scale), None)
+    if bad is not None:
+        raise NotInIdealPower(f"signature {bad} not divisible by 2^{d}")
+    f = [s >> d & 1 for s in sigs]
+    # subset zeta transform over F2 in constant geometry: f[S] becomes the
+    # xor of f[T] over T in S, the coefficient of prod_{i in S} x_i
+    for _ in range(g):
+        ev, od = f[0::2], f[1::2]
+        f = ev + list(map(xor, ev, od))
     gens = [fields.generator(field, i) for i in range(g)]
     symbols = set()
     for mask, c in enumerate(f):
@@ -71,7 +67,7 @@ def e_extract(w: WittClass, d: int) -> CohClass:
             raise NotInIdealPower(
                 "signature function has degree above the requested power"
             )
-        factors = [gens[i] for i in range(g) if mask >> i & 1]
+        factors = [gens[i] for i in range(g) if mask >> (g - 1 - i) & 1]
         symbols.add(padded_symbol(field, factors, d))
     return CohClass(field, d, frozenset(symbols))
 
@@ -131,7 +127,7 @@ def decompose(
         if tab.declared_degree > n0:
             raise InvalidInput("generator degree exceeds n0")
     g = field.g
-    eps_list = list(fields.orderings(field))
+    fields.orderings(field)  # refuses g above the cap before any work
     nsamples = len(target.samples)
     residual = list(target.values)
     coeffs = [witt_zero(field) for _ in generators]
@@ -189,9 +185,7 @@ def decompose(
                     )
                     for s in range(nsamples)
                 ]
-                norm = sum(
-                    abs(total_signature(w, eps)) for w in cand for eps in eps_list
-                )
+                norm = sum(abs(s) for w in cand for s in signature_vector(w))
                 if best is None or norm < best[0]:
                     best = (norm, sign, cand)
             coeffs[i] = witt_add(coeffs[i], witt_int_scale(best[1], q))
@@ -215,4 +209,4 @@ def table_from_json(obj) -> EvaluationTable:
     samples = tuple(torsor_from_json(t) for t in obj["samples"])
     field = samples[0].field if samples else None
     values = tuple(witt_from_json(w, field) for w in obj["values"])
-    return EvaluationTable(samples, values, int(obj["degree"]))
+    return EvaluationTable(samples, values, fields.json_checked(obj["degree"], int, "degree"))

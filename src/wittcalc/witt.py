@@ -9,15 +9,16 @@ there is a decision procedure built on Hasse-Minkowski invariants.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from . import fields
 from .errors import (
     BackendMismatch,
     DegenerateMatrix,
     DegreeOutOfRange,
-    InvalidInput,
     UnsupportedBackend,
 )
 from .fields import (
@@ -314,11 +315,33 @@ def total_signature(a: WittClass, ordering: tuple[int, ...]) -> int:
     return sum(k * signature_at(cls, ordering) for cls, k in a.terms)
 
 
-def signatures(a: WittClass) -> dict[tuple[int, ...], int]:
-    """Signature of the class at each ordering of the reals/formal backend."""
+def signature_vector(a: WittClass) -> list[int]:
+    """Signatures of the class at every ordering, listed as fields.orderings
+    lists them: the Walsh-Hadamard transform of its coefficients indexed by
+    generator mask, generator i on bit g-1-i, in O(g 2^g)."""
     if a.field.kind not in (fields.REALS, fields.FORMAL):
         raise UnsupportedBackend("signatures need the reals or formal backend")
-    return {eps: total_signature(a, eps) for eps in orderings(a.field)}
+    orderings(a.field)  # raises OrderingLimitExceeded before 2^g slots exist
+    if a.field.kind == fields.REALS:
+        return [sum(k * cls.data for cls, k in a.terms)]
+    g = a.field.g
+    f = [0] * (1 << g)
+    for cls, k in a.terms:
+        neg, gens = cls.data
+        f[sum(1 << (g - 1 - i) for i in gens)] += -k if neg else k
+    # constant-geometry butterflies: a pass combines the entries that differ
+    # in bit 0 and rotates the index right, so g passes restore the bit order
+    for _ in range(g):
+        ev, od = f[0::2], f[1::2]
+        f = list(map(add, ev, od))
+        f += map(sub, ev, od)
+    return f
+
+
+def signatures(a: WittClass) -> dict[tuple[int, ...], int]:
+    """Signature of the class at each ordering of the reals/formal backend."""
+    sigs = signature_vector(a)  # raises UnsupportedBackend off the reals/formal
+    return dict(zip(orderings(a.field), sigs))
 
 
 def filtration_degree(a: WittClass, cap: int) -> int:
@@ -327,11 +350,8 @@ def filtration_degree(a: WittClass, cap: int) -> int:
         raise UnsupportedBackend("filtration degree needs the reals or formal backend")
     if cap < 0:
         raise DegreeOutOfRange("cap must be >= 0")
-    sigs = list(signatures(a).values())
-    d = 0
-    while d < cap and all(s % (2 ** (d + 1)) == 0 for s in sigs):
-        d += 1
-    return d
+    n = math.gcd(*signature_vector(a))
+    return cap if n == 0 else min(cap, (n & -n).bit_length() - 1)
 
 
 def virtual_rank(a: WittClass) -> int:
@@ -418,16 +438,10 @@ def witt_to_json(a: WittClass):
 def terms_from_json(obj) -> list[tuple[dict, int]]:
     """(term object, coeff) for a JSON list of term objects, each with a
     JSON-integer ``coeff``; anything else raises InvalidInput."""
-    if not isinstance(obj, list):
-        raise InvalidInput(f"expected a list of terms, got {obj!r}")
     out = []
-    for t in obj:
-        if not isinstance(t, dict):
-            raise InvalidInput(f"expected a term object, got {t!r}")
-        k = t["coeff"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise InvalidInput(f"coeff must be an integer, got {k!r}")
-        out.append((t, k))
+    for t in fields.json_checked(obj, list, "terms"):
+        t = fields.json_checked(t, dict, "term")
+        out.append((t, fields.json_checked(t["coeff"], int, "coeff")))
     return out
 
 
@@ -442,8 +456,10 @@ def form_to_json(q: DiagonalForm):
 
 
 def form_from_json(obj, field: FieldDescriptor) -> DiagonalForm:
-    return DiagonalForm(field, tuple(fields.sq_from_json(e, field) for e in obj))
+    entries = fields.json_checked(obj, list, "form")
+    return DiagonalForm(field, tuple(fields.sq_from_json(e, field) for e in entries))
 
 
 def gram_from_json(obj, field: FieldDescriptor) -> GramMatrix:
-    return gram(field, [[Fraction(x) for x in row] for row in obj])
+    rows = fields.json_checked(obj, list, "gram")
+    return gram(field, [fields.json_checked(row, list, "gram row") for row in rows])

@@ -174,3 +174,51 @@ def test_malformed_witt_terms_are_input_errors(capsys, tmp_path, argv, payload):
     code, out, err = run_json(capsys, argv, payload, tmp_path)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["form", "lambda"], {"form": 5, "d": 1}),
+        (["coh", "sw"], {"form": 5, "d": 1}),
+        (["form", "diagonalize"], {"gram": 5}),
+        (["form", "diagonalize"], {"gram": [5]}),
+        (["form", "pfister"], {"alphas": 5}),
+        (["form", "pfister", "--field", "formal:3"], {"alphas": [{"gens": 5}]}),
+        (["form", "pfister", "--field", "formal:3"], {"alphas": [{"gens": ["a"]}]}),
+        (["coh", "is-zero"], {"coh": 5}),
+        (["coh", "is-zero"], {"coh": {"degree": 2, "symbols": 5}}),
+        (["coh", "is-zero"], {"coh": {"degree": 2, "symbols": [5]}}),
+        (["coh", "cup"], {"a": 5, "b": {"degree": 1, "symbols": [[2]]}}),
+        (["coh", "e-map"], {"pfister": 5}),
+        (["coh", "e-map"], {"pfister": {"degree": 1, "terms": [{"coeff": 1, "gens": 5}]}}),
+    ],
+)
+def test_malformed_payload_shapes_are_input_errors(capsys, tmp_path, argv, payload):
+    code, out, err = run_json(capsys, argv, payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["form", "lambda"], {"form": [2, 3], "d": "BAD"}),
+        (["form", "filtration", "--field", "r"], {"witt": [{"class": "+", "coeff": 4}], "cap": "BAD"}),
+        (["coh", "e-map"], {"pfister": {"degree": "BAD", "terms": [{"coeff": 1, "gens": [2]}]}}),
+        (["coh", "is-zero"], {"coh": {"degree": "BAD", "symbols": [[2]]}}),
+        (["lift", "decompose"], {"target": {"samples": [], "values": [], "degree": "BAD"}}),
+        (
+            ["lift", "decompose"],
+            {"target": {"samples": [], "values": [], "degree": 0}, "generators": [], "n0": "BAD"},
+        ),
+    ],
+)
+def test_integer_fields_are_checked(capsys, tmp_path, argv, payload, bad):
+    # a float is not truncated and a bool is not read as 0 or 1
+    text = json.dumps(payload).replace('"BAD"', json.dumps(bad))
+    code, out, err = run_json(capsys, argv, json.loads(text), tmp_path)
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "InvalidInput" and "must be an integer" in err["message"]

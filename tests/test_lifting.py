@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wittcalc import errors, fields
+from wittcalc import errors, fields, witt
 from wittcalc.cohomology import coh_add, coh_zero, e_map
 from wittcalc.fields import canonicalize, formal, rationals
 from wittcalc.lifting import (
@@ -87,9 +87,9 @@ def test_solve_f2_units():
     assert sol is not None and bin(sol).count("1") % 2 == 0
 
 
-def make_tables(rng, ntrials=6, n=2):
+def make_tables(rng, ntrials=6, n=2, field=F4):
     samples = tuple(
-        random_torsor(rng, F4, BN, rng.randint(n, 3), rng.randint(1, 3))
+        random_torsor(rng, field, BN, rng.randint(n, 3), rng.randint(1, 3))
         for _ in range(ntrials)
     )
     tables = [
@@ -189,6 +189,25 @@ def test_ordering_cap():
     with pytest.raises(errors.OrderingLimitExceeded):
         e_extract(w, 1)
     fields.orderings(formal(fields.MAX_ORDERING_GENERATORS))  # at the cap: allowed
+
+
+def test_no_per_ordering_evaluation(monkeypatch):
+    # every signature comes from the one transform, never ordering by ordering
+    def refuse(*args):
+        raise AssertionError("signature evaluated at a single ordering")
+
+    monkeypatch.setattr(witt, "total_signature", refuse)
+    monkeypatch.setattr(witt, "signature_at", refuse)
+    monkeypatch.setattr(fields, "signature_at", refuse)
+    f6 = formal(6)
+    samples, tables = make_tables(random.Random(67), field=f6)
+    w = tables[2].values[0]
+    assert list(signatures(w)) == list(fields.orderings(f6))
+    assert filtration_degree(w, 4) >= 2
+    assert e_extract(w, 2).degree == 2
+    dec = decompose(tables[1], tables, n0=3)
+    assert witt_eq(dec.coefficients[1], witt_one(f6))
+    assert dec.residual_ok
 
 
 def test_table_validation():

@@ -15,7 +15,7 @@ from wittcalc.fields import (
     rationals,
     reals,
 )
-from wittcalc.sampling import random_form
+from wittcalc.sampling import random_form, random_square_class
 from wittcalc.witt import (
     diagonal,
     diagonalize,
@@ -27,7 +27,9 @@ from wittcalc.witt import (
     lambda_power_gram_oracle,
     make_witt,
     pfister,
+    signature_vector,
     signatures,
+    total_signature,
     virtual_rank,
     witt_add,
     witt_int_scale,
@@ -135,6 +137,45 @@ def test_signatures_formal():
     sig = signatures(w)
     assert sig[(1,)] == 0
     assert sig[(-1,)] == 2
+
+
+def _random_signed_class(rng, field):
+    """A class with coefficients of both signs, over <-x> and <x> alike;
+    every other draw has coefficient sum (virtual rank) 0."""
+    draws = [
+        (random_square_class(rng, field), rng.choice((-3, -2, -1, 1, 2, 4)))
+        for _ in range(rng.randint(0, 6))
+    ]
+    if draws and rng.random() < 0.5:
+        draws.append((random_square_class(rng, field), -sum(k for _, k in draws)))
+    return make_witt(field, draws)
+
+
+def test_signature_vector_matches_total_signature():
+    # oracle: the per-ordering sum over terms of k * signature_at(class)
+    rng = random.Random(61)
+    degrees = set()
+    for field in [reals()] + [formal(g) for g in range(9)]:
+        eps_list = list(fields.orderings(field))
+        for _ in range(12):
+            # scaled and multiplied by Pfister forms, to reach I^d for d > 0
+            a = witt_int_scale(rng.choice((1, 2, 4, 16)), _random_signed_class(rng, field))
+            for _ in range(rng.randint(0, 2)):
+                a = witt_mul(a, pfister(field, [random_square_class(rng, field)]))
+            vec = signature_vector(a)
+            assert vec == [total_signature(a, eps) for eps in eps_list]
+            assert list(signatures(a)) == eps_list
+            for cap in range(7):
+                d = 0
+                while d < cap and all(s % 2 ** (d + 1) == 0 for s in vec):
+                    d += 1
+                assert filtration_degree(a, cap) == d
+                degrees.add(d)
+    assert degrees == set(range(7))
+    with pytest.raises(errors.UnsupportedBackend):
+        signatures(witt_one(Q))
+    with pytest.raises(errors.OrderingLimitExceeded):
+        signature_vector(witt_one(formal(fields.MAX_ORDERING_GENERATORS + 1)))
 
 
 def test_filtration_degree():
