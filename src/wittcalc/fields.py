@@ -461,7 +461,7 @@ def json_checked(obj, kind: type, what: str):
     """obj if it is a JSON list, object or integer as ``kind`` asks (a bool
     is not an integer); anything else raises InvalidInput."""
     if not isinstance(obj, kind) or isinstance(obj, bool):
-        raise InvalidInput(f"{what} must be {_JSON_KINDS[kind]}, got {obj!r}")
+        raise InvalidInput(f"{what} must be {_JSON_KINDS[kind]}, got {obj!r:.60}")
     return obj
 
 
