@@ -140,7 +140,8 @@ def _cmd_weyl(args) -> int:
 def _cmd_lift(args) -> int:
     payload = _load_payload(args)
     target = lifting.table_from_json(payload["target"])
-    gens = [lifting.table_from_json(t) for t in payload["generators"]]
+    gens = fields.json_checked(payload["generators"], list, "generators")
+    gens = [lifting.table_from_json(t) for t in gens]
     n0 = fields.json_checked(payload.get("n0", 4), int, "n0") if args.n0 is None else args.n0
     dec = lifting.decompose(target, gens, n0)
     _emit(

@@ -323,16 +323,16 @@ def component_from_json(obj, field: FieldDescriptor):
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidInput(f"bad component payload {obj!r}")
     if obj["type"] == "poly":
-        return poly_component([Fraction(x) for x in obj["coeffs"]])
+        return poly_component(fields.json_rationals(obj["coeffs"], "coeffs"))
     if obj["type"] == "multiquadratic":
-        return Multiquadratic(
-            field, tuple(fields.sq_from_json(c, field) for c in obj["classes"])
-        )
+        classes = fields.json_checked(obj["classes"], list, "classes")
+        return Multiquadratic(field, tuple(fields.sq_from_json(c, field) for c in classes))
     raise InvalidInput(f"unknown component type {obj['type']!r}")
 
 
 def etale_from_json(obj, field: FieldDescriptor) -> EtaleAlgebra:
-    return EtaleAlgebra(field, tuple(component_from_json(c, field) for c in obj))
+    comps = fields.json_checked(obj, list, "algebra")
+    return EtaleAlgebra(field, tuple(component_from_json(c, field) for c in comps))
 
 
 def pair_to_json(pair: QuadraticPair):
@@ -349,5 +349,7 @@ def pair_to_json(pair: QuadraticPair):
 
 
 def pair_from_json(obj) -> QuadraticPair:
+    obj = fields.json_checked(obj, dict, "pair")
     base = etale_from_json(obj["base"], rationals())
-    return quadratic_pair(base, [[Fraction(x) for x in d] for d in obj["deltas"]])
+    deltas = fields.json_checked(obj["deltas"], list, "deltas")
+    return quadratic_pair(base, [fields.json_rationals(d, "delta") for d in deltas])

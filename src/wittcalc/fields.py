@@ -9,10 +9,12 @@ symbols are built from these atoms.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -68,27 +70,60 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
-def factor(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]]:
+#: trial division tries every divisor below the first block start, then only
+#: the blocks of 4096 integers whose primes share a factor with the cofactor;
+#: _DIVISOR_END is the first odd number past the bound
+_DIVISOR_END = (DEFAULT_FACTOR_BOUND + 1) | 1
+_BLOCK_STARTS = range(1025, _DIVISOR_END, 4096)
+
+
+@functools.cache
+def _block_products() -> tuple[int, ...]:
+    """Product of the primes in each block [lo, lo + 4096) of _BLOCK_STARTS,
+    the last one cut at _DIVISOR_END: about 200 KB, sieved block by block
+    on first use."""
+    limit = isqrt(_DIVISOR_END)
+    base = [p for p in range(3, limit + 1, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2))]
+    products = []
+    for lo in _BLOCK_STARTS:
+        odds = range(lo, min(lo + _BLOCK_STARTS.step, _DIVISOR_END), 2)
+        sieve = bytearray([1]) * len(odds)
+        for p in base:
+            # odds[i] = lo + 2i is a multiple of p for i = -lo/2 mod p
+            i = -lo * (p + 1) // 2 % p
+            sieve[i::p] = bytes(len(sieve[i::p]))
+        products.append(prod(itertools.compress(odds, sieve)))
+    return tuple(products)
+
+
+def factor(m: int) -> list[tuple[int, int]]:
     """Prime factorization of nonzero |m| as ascending (prime, exponent) pairs.
 
-    Trial division runs up to ``bound``, stopping early once the cofactor
-    above ``bound`` is proven prime by Miller-Rabin; a cofactor with no
-    factor up to ``bound`` and not proven prime raises FactorLimitExceeded.
+    Trial division runs up to DEFAULT_FACTOR_BOUND, stopping early once the
+    cofactor above the bound is proven prime by Miller-Rabin; a cofactor with
+    no factor up to the bound and not proven prime raises FactorLimitExceeded.
     """
     m = abs(m)
     out = []
-    d = 2
-    prime_left = m > bound and _proven_prime(m)
+    d, end = 2, _BLOCK_STARTS.start
+    prime_left = m > DEFAULT_FACTOR_BOUND and _proven_prime(m)
     while d * d <= m and not prime_left:
-        if d > bound:
-            raise FactorLimitExceeded(f"factor search exceeded bound {bound}")
+        if d > DEFAULT_FACTOR_BOUND:
+            raise FactorLimitExceeded(f"factor search exceeded bound {DEFAULT_FACTOR_BOUND}")
+        if d == end:
+            # the next block sharing a factor with m; past the last one, d
+            # lands on _DIVISOR_END, where the loop stops or raises as before
+            blocks = zip(_BLOCK_STARTS, _block_products())
+            d = next((lo for lo, p in blocks if lo >= d and gcd(m, p) > 1), _DIVISOR_END)
+            end = min(d + _BLOCK_STARTS.step, _DIVISOR_END)
+            continue
         e = 0
         while m % d == 0:
             m //= d
             e += 1
         if e:
             out.append((d, e))
-            prime_left = m > bound and _proven_prime(m)
+            prime_left = m > DEFAULT_FACTOR_BOUND and _proven_prime(m)
         d += 1 if d == 2 else 2
     if m > 1:
         out.append((m, 1))
@@ -183,7 +218,7 @@ def least_nonresidue(p: int) -> int:
     raise BadBackend(f"no nonresidue found mod {p}")
 
 
-def canonicalize(raw, field: FieldDescriptor, bound: int = DEFAULT_FACTOR_BOUND) -> SquareClass:
+def canonicalize(raw, field: FieldDescriptor) -> SquareClass:
     """Canonical square class of a nonzero field element."""
     if isinstance(raw, SquareClass):
         if raw.field != field:
@@ -191,7 +226,7 @@ def canonicalize(raw, field: FieldDescriptor, bound: int = DEFAULT_FACTOR_BOUND)
         return raw
     if field.kind == RATIONALS:
         m = _integral(raw)
-        odd = prod(p for p, e in factor(m, bound) if e % 2)
+        odd = prod(p for p, e in factor(m) if e % 2)
         return SquareClass(field, odd if m > 0 else -odd)
     if field.kind == FINITE:
         if not isinstance(raw, (int, Fraction)):
@@ -225,7 +260,7 @@ def canonicalize(raw, field: FieldDescriptor, bound: int = DEFAULT_FACTOR_BOUND)
             raw = (raw, ())
         if isinstance(raw, tuple) and len(raw) == 2:
             r, gens = raw
-            r = canonicalize(r, rationals(), bound).data
+            r = canonicalize(r, rationals()).data
             return SquareClass(field, (r, _generator_tuple(gens, field)))
         raise BadBackend(f"cannot interpret {raw!r} over {field}")
     raise _unsupported(field, "canonicalize")
@@ -272,26 +307,30 @@ def generator(field: FieldDescriptor, i: int) -> SquareClass:
     raise BadBackend(f"{field} has no Laurent generators")
 
 
-def sq_mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    if a.field != b.field:
-        raise BackendMismatch("square classes over different backends")
-    field = a.field
-    if field.kind == RATIONALS:
-        return SquareClass(field, _squarefree_mul(a.data, b.data))
-    if field.kind == FINITE:
-        return SquareClass(field, a.data ^ b.data)
-    if field.kind == REALS:
-        return SquareClass(field, a.data * b.data)
-    if field.kind in TOWERS:
-        (ca, ga), (cb, gb) = a.data, b.data
-        const = ca ^ cb if field.kind == FORMAL else _squarefree_mul(ca, cb)
-        return SquareClass(field, (const, tuple(sorted(set(ga) ^ set(gb)))))
-    raise _unsupported(field, "sq_mul")
-
-
 def _squarefree_mul(a: int, b: int) -> int:
     """Squarefree part of a*b for squarefree a and b, without factoring."""
     return a * b // gcd(a, b) ** 2
+
+
+def payload_mul(field: FieldDescriptor):
+    """The product of two square-class payloads (``.data``) over ``field``."""
+    kind = field.kind
+    if kind == RATIONALS:
+        return _squarefree_mul
+    if kind == FINITE:
+        return operator.xor
+    if kind == REALS:
+        return operator.mul
+    if kind not in TOWERS:
+        raise _unsupported(field, "sq_mul")
+    const_mul = operator.xor if kind == FORMAL else _squarefree_mul
+    return lambda a, b: (const_mul(a[0], b[0]), tuple(sorted(set(a[1]).symmetric_difference(b[1]))))
+
+
+def sq_mul(a: SquareClass, b: SquareClass) -> SquareClass:
+    if a.field != b.field:
+        raise BackendMismatch("square classes over different backends")
+    return SquareClass(a.field, payload_mul(a.field)(a.data, b.data))
 
 
 def basis_factors(a: SquareClass) -> tuple[SquareClass, ...]:
@@ -454,15 +493,28 @@ def orderings(field: FieldDescriptor) -> Iterator[tuple[int, ...]]:
     return itertools.product((1, -1), repeat=field.g)
 
 
-_JSON_KINDS = {list: "a list", dict: "an object", int: "an integer"}
+_JSON_KINDS = {list: "a list", dict: "an object", int: "an integer", str: "a string"}
 
 
 def json_checked(obj, kind: type, what: str):
-    """obj if it is a JSON list, object or integer as ``kind`` asks (a bool
-    is not an integer); anything else raises InvalidInput."""
+    """obj if it is a JSON list, object, integer or string as ``kind`` asks
+    (a bool is not an integer); anything else raises InvalidInput."""
     if not isinstance(obj, kind) or isinstance(obj, bool):
         raise InvalidInput(f"{what} must be {_JSON_KINDS[kind]}, got {obj!r:.60}")
     return obj
+
+
+def json_rationals(obj, what: str) -> list[Fraction]:
+    """A JSON list of integers and rational strings such as "-3/4" as
+    Fractions; a float, a bool or any other entry raises InvalidInput."""
+    entries = json_checked(obj, list, what)
+    non_string = f"{what} entry that is not a string"
+    try:
+        return [
+            Fraction(x if isinstance(x, str) else json_checked(x, int, non_string)) for x in entries
+        ]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"{what} entry is not a rational number: {exc}") from None
 
 
 def sq_to_json(a: SquareClass):

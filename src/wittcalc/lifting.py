@@ -206,7 +206,13 @@ def table_to_json(tab: EvaluationTable):
 
 
 def table_from_json(obj) -> EvaluationTable:
-    samples = tuple(torsor_from_json(t) for t in obj["samples"])
+    obj = fields.json_checked(obj, dict, "table")
+    samples = fields.json_checked(obj["samples"], list, "samples")
+    samples = tuple(torsor_from_json(t) for t in samples)
+    values = fields.json_checked(obj["values"], list, "values")
+    # checked before the values are read over the first sample's field
+    if len(values) != len(samples):
+        raise InvalidInput("one value per sample required")
     field = samples[0].field if samples else None
-    values = tuple(witt_from_json(w, field) for w in obj["values"])
+    values = tuple(witt_from_json(w, field) for w in values)
     return EvaluationTable(samples, values, fields.json_checked(obj["degree"], int, "degree"))

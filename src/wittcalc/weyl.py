@@ -445,7 +445,12 @@ def wreath_to_json(g: WreathElement):
 
 
 def wreath_from_json(obj, n: int) -> WreathElement:
-    return WreathElement(n, tuple(obj["perm"]), frozenset(obj.get("flips", ())))
+    obj = fields.json_checked(obj, dict, "image")
+    perm = fields.json_checked(obj["perm"], list, "perm")
+    flips = fields.json_checked(obj.get("flips", []), list, "flips")
+    for i in perm + flips:
+        fields.json_checked(i, int, "perm or flips entry")
+    return WreathElement(n, tuple(perm), frozenset(flips))
 
 
 def torsor_to_json(t: MultiquadraticTorsor):
@@ -458,11 +463,13 @@ def torsor_to_json(t: MultiquadraticTorsor):
 
 
 def torsor_from_json(obj) -> MultiquadraticTorsor:
-    field = fields.parse_field(obj["field"])
-    n = int(obj["target"]["n"])
+    obj = fields.json_checked(obj, dict, "torsor")
+    field = fields.parse_field(fields.json_checked(obj["field"], str, "field"))
+    target = fields.json_checked(obj["target"], dict, "target")
+    n = fields.json_checked(target["n"], int, "n")
     return MultiquadraticTorsor(
         field,
-        tuple(fields.sq_from_json(c, field) for c in obj["d"]),
-        (obj["target"]["type"], n),
-        tuple(wreath_from_json(g, n) for g in obj["images"]),
+        tuple(fields.sq_from_json(c, field) for c in fields.json_checked(obj["d"], list, "d")),
+        (target["type"], n),
+        tuple(wreath_from_json(g, n) for g in fields.json_checked(obj["images"], list, "images")),
     )

@@ -138,12 +138,13 @@ def witt_sub(a: WittClass, b: WittClass) -> WittClass:
 def witt_mul(a: WittClass, b: WittClass) -> WittClass:
     if a.field != b.field:
         raise BackendMismatch("witt classes over different backends")
-    acc: dict[SquareClass, int] = {}
+    mul = fields.payload_mul(a.field)
+    acc: dict = {}
     for ca, ka in a.terms:
         for cb, kb in b.terms:
-            c = sq_mul(ca, cb)
+            c = mul(ca.data, cb.data)
             acc[c] = acc.get(c, 0) + ka * kb
-    return make_witt(a.field, acc)
+    return make_witt(a.field, [(SquareClass(a.field, c), k) for c, k in acc.items()])
 
 
 def witt_int_scale(k: int, a: WittClass) -> WittClass:
@@ -181,18 +182,20 @@ class PfisterPresentation:
 
 
 def lambda_power(q: DiagonalForm, d: int) -> WittClass:
-    """Sum of <prod_{i in I} a_i> over size-d subsets I, via iterative DP."""
+    """Sum of <prod_{i in I} a_i> over size-d subsets I, via iterative DP on
+    the payloads (fields.payload_mul); each class is wrapped once, at the end."""
     if not 0 <= d <= q.dim:
         raise DegreeOutOfRange(f"lambda degree {d} out of range for dim {q.dim}")
-    rows: list[dict[SquareClass, int]] = [dict() for _ in range(d + 1)]
-    rows[0][trivial_class(q.field)] = 1
-    for idx, a in enumerate(q.entries):
+    mul = fields.payload_mul(q.field)
+    rows: list[dict] = [dict() for _ in range(d + 1)]
+    rows[0][trivial_class(q.field).data] = 1
+    for idx, a in enumerate(e.data for e in q.entries):
         for j in range(min(d, idx + 1), 0, -1):
             tgt = rows[j]
-            for cls, k in rows[j - 1].items():
-                c = sq_mul(cls, a)
+            for c, k in rows[j - 1].items():
+                c = mul(c, a)
                 tgt[c] = tgt.get(c, 0) + k
-    return make_witt(q.field, rows[d])
+    return make_witt(q.field, [(SquareClass(q.field, c), k) for c, k in rows[d].items()])
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:
@@ -462,4 +465,4 @@ def form_from_json(obj, field: FieldDescriptor) -> DiagonalForm:
 
 def gram_from_json(obj, field: FieldDescriptor) -> GramMatrix:
     rows = fields.json_checked(obj, list, "gram")
-    return gram(field, [fields.json_checked(row, list, "gram row") for row in rows])
+    return gram(field, [fields.json_rationals(row, "gram row") for row in rows])

@@ -222,3 +222,66 @@ def test_integer_fields_are_checked(capsys, tmp_path, argv, payload, bad):
     assert code == 2 and out == ""
     err = json.loads(err)
     assert err["error"] == "InvalidInput" and "must be an integer" in err["message"]
+
+
+_TORSOR = {"field": "q", "d": [], "target": {"type": "bn", "n": 1}, "images": []}
+_TABLE = {"samples": [], "values": [], "degree": 0}
+_AK = ["weyl", "eval", "--invariant", "aK"]
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["lift", "decompose"], {"target": 5, "generators": []}),
+        (["lift", "decompose"], {"target": {**_TABLE, "samples": 5}, "generators": []}),
+        (["lift", "decompose"], {"target": {**_TABLE, "samples": [5]}, "generators": []}),
+        (["lift", "decompose"], {"target": {**_TABLE, "values": 5}, "generators": []}),
+        (
+            ["lift", "decompose"],
+            {"target": {**_TABLE, "values": [[{"class": 2, "coeff": 1}]]}, "generators": []},
+        ),
+        (["lift", "decompose"], {"target": _TABLE, "generators": 5}),
+        (["lift", "decompose"], {"target": _TABLE, "generators": [5]}),
+        (_AK, {"torsor": 5}),
+        (_AK, {"torsor": {**_TORSOR, "field": 5}}),
+        (_AK, {"torsor": {**_TORSOR, "d": 5}}),
+        (_AK, {"torsor": {**_TORSOR, "target": 5}}),
+        (_AK, {"torsor": {**_TORSOR, "target": {"type": "bn", "n": None}}}),
+        (_AK, {"torsor": {**_TORSOR, "images": 5}}),
+        (_AK, {"torsor": {**_TORSOR, "d": [2], "images": [5]}}),
+        (_AK, {"torsor": {**_TORSOR, "d": [2], "images": [{"perm": 5}]}}),
+        (_AK, {"torsor": {**_TORSOR, "d": [2], "images": [{"perm": ["a", 1]}]}}),
+        (_AK, {"torsor": {**_TORSOR, "d": [2], "images": [{"perm": [1], "flips": [None]}]}}),
+        (["weyl", "eval", "--invariant", "g2"], {"t2": 5, "t3": 5}),
+        (["etale", "pair-trace-form"], {"pair": 5}),
+        (["etale", "pair-trace-form"], {"pair": {"base": 5, "deltas": []}}),
+        (["etale", "pair-trace-form"], {"pair": {"base": [], "deltas": 5}}),
+        (["etale", "pair-trace-form"], {"pair": {"base": [], "deltas": [5]}}),
+        (
+            ["etale", "pair-trace-form"],
+            {"pair": {"base": [{"type": "poly", "coeffs": [-2, 0, 1]}], "deltas": [[None]]}},
+        ),
+        (["etale", "trace-form"], {"algebra": 5}),
+        (["etale", "trace-form"], {"algebra": [{"type": "poly", "coeffs": 5}]}),
+        (["etale", "trace-form"], {"algebra": [{"type": "poly", "coeffs": [1.5, 1]}]}),
+        (["etale", "trace-form"], {"algebra": [{"type": "multiquadratic", "classes": 5}]}),
+        (["form", "diagonalize"], {"gram": [[None]]}),
+        (["form", "diagonalize"], {"gram": [[1e400]]}),
+        (["form", "diagonalize"], {"gram": [[1.5]]}),
+        (["form", "diagonalize"], {"gram": [[True]]}),
+        (["form", "diagonalize"], {"gram": [["1/0"]]}),
+        (["form", "diagonalize"], {"gram": [["abc"]]}),
+    ],
+)
+def test_reader_shapes_are_input_errors(capsys, tmp_path, argv, payload):
+    code, out, err = run_json(capsys, argv, payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_gram_entries_are_integers_or_rational_strings(capsys, tmp_path):
+    payload = {"gram": [["-3/4", 2], [2, "5"]]}
+    code, out, _ = run_json(capsys, ["form", "diagonalize"], payload, tmp_path)
+    assert code == 0
+    # -3/4 then 5 - 2 * 2 / (-3/4) = 31/3
+    assert json.loads(out)["form"] == [-3, 93]

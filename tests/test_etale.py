@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import sympy
@@ -145,3 +147,16 @@ def test_trace_form_with_prime_pivot_cofactor():
         det *= e.data
     assert canonicalize(det, Q) == canonicalize(int(sympy.discriminant(f, x)), Q)
     assert any(e.data % 1542617003933 == 0 for e in q.entries)
+
+
+PRIME_COFACTOR_SEXTIC = (-9, 5, -8, -4, -3, -6, 1)
+
+
+def test_prime_cofactor_trace_form_budget():
+    # the pivots 3234440376479073110638 and -4149007827154116 have the prime
+    # factors 440303 and 329801, far past the divisors tried one by one
+    alg = etale([poly_component(PRIME_COFACTOR_SEXTIC)])
+    first = trace_form(alg)  # may build the factor table
+    t0 = time.perf_counter()
+    assert trace_form(alg) == first
+    assert time.perf_counter() - t0 < 0.020

@@ -1,3 +1,9 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from fractions import Fraction
 
@@ -205,3 +211,77 @@ def test_hilbert_symbol_does_not_factor_its_arguments():
         assert hilbert_symbol(p * q, -3, v) == hilbert_symbol(p, -3, v) * hilbert_symbol(q, -3, v)
         assert hilbert_symbol(p * p, -3, v) == 1
     assert hilbert_symbol(Fraction(p * q, 3), 5, 3) == hilbert_symbol(3 * p * q, 5, 3)
+
+
+def _reference_factor(m, bound=10**6):
+    """Trial division by every odd number up to the bound: the loop that
+    fields.factor skips whole blocks of."""
+    m = abs(m)
+    out = []
+    d = 2
+    prime_left = m > bound and fields._proven_prime(m)
+    while d * d <= m and not prime_left:
+        if d > bound:
+            raise errors.FactorLimitExceeded(f"factor search exceeded bound {bound}")
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            out.append((d, e))
+            prime_left = m > bound and fields._proven_prime(m)
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _factor_or_raise(f, m):
+    try:
+        return f(m)
+    except errors.FactorLimitExceeded as exc:
+        return str(exc)
+
+
+def test_block_factor_matches_trial_division():
+    # each input on which trial division walks far (two primes above 1000,
+    # a raise) costs the reference about 0.1 s, so those are few
+    rng = random.Random(1031)
+    small = lambda: sympy.prevprime(rng.randrange(3, 1024))
+    mid = lambda: sympy.prevprime(rng.randrange(10**3, 10**6))
+    below = lambda: sympy.prevprime(rng.randrange(10**6 - 3000, 10**6))
+    above = lambda: sympy.nextprime(rng.randrange(10**6, 10**6 + 3000))
+    near_mr = sympy.prevprime(fields.MR_LIMIT)
+    inputs = [3234440376479073110638, -4149007827154116]  # the sextic's pivots
+    inputs += [near_mr, -6 * near_mr, sympy.prevprime(near_mr) * 1031**2 * 32]
+    inputs += [5 * sympy.nextprime(fields.MR_LIMIT)]  # a prime too large to prove
+    for _ in range(6):
+        inputs.append(rng.choice((1, -1)) * small() ** rng.randint(1, 3) * small() * small())
+        inputs.append(small() * mid() ** rng.randint(1, 2))
+        inputs.append(above() * small() ** rng.randint(0, 2))
+    for _ in range(2):
+        inputs += [mid() * mid(), below() * above(), above() ** 2 * small()]
+    inputs.append(below() ** 2 * mid())
+    for m in inputs:
+        assert _factor_or_raise(factor, m) == _factor_or_raise(_reference_factor, m), m
+
+
+def test_block_table_is_built_on_first_need_only():
+    # importing the CLI and factoring below 1025^2 leave the table unbuilt
+    code = (
+        "import wittcalc.cli\n"
+        "from wittcalc import fields\n"
+        "fields.canonicalize(-(1021 * 1019) * 2**40, fields.rationals())\n"
+        "print(fields._block_products.cache_info().currsize)\n"
+        "fields.factor(1031 * 1033)\n"
+        "print(fields._block_products.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.stdout.split() == ["0", "1"], out.stderr

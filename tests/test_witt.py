@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 import time
@@ -14,9 +16,11 @@ from wittcalc.fields import (
     laurent_q,
     rationals,
     reals,
+    trivial_class,
 )
 from wittcalc.sampling import random_form, random_square_class
 from wittcalc.witt import (
+    DiagonalForm,
     diagonal,
     diagonalize,
     filtration_degree,
@@ -348,3 +352,35 @@ def test_witt_eq_172_entries_factors_each_class_once(monkeypatch):
     assert witt_eq(a, b) is True
     assert time.monotonic() - t0 < 0.5
     assert len(calls) <= classes + 1
+
+
+def _oracle_class(rng, field):
+    if field.kind == fields.LAURENT_Q:
+        r = rng.choice((1, -1)) * rng.randint(1, 30)
+        return canonicalize((r, tuple(i for i in range(field.g) if rng.random() < 0.5)), field)
+    return random_square_class(rng, field, height=30)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [rationals(), finite_field(3), finite_field(5), reals(), formal(4), laurent_q(2)],
+    ids=str,
+)
+def test_payload_products_match_square_class_products(field):
+    # lambda_power and witt_mul multiply payloads; the oracle folds SquareClass
+    # objects with sq_mul, subset by subset and term by term
+    rng = random.Random(str(field))
+    for dim in (0, 1, 2, 5, 8):
+        q = DiagonalForm(field, tuple(_oracle_class(rng, field) for _ in range(dim)))
+        for d in range(dim + 1):
+            want = []
+            for subset in itertools.combinations(q.entries, d):
+                want.append((functools.reduce(fields.sq_mul, subset, trivial_class(field)), 1))
+            assert lambda_power(q, d) == make_witt(field, want)
+    for _ in range(10):
+        a, b = (
+            make_witt(field, [(_oracle_class(rng, field), rng.randint(-3, 3)) for _ in range(6)])
+            for _ in range(2)
+        )
+        want = [(fields.sq_mul(ca, cb), ka * kb) for ca, ka in a.terms for cb, kb in b.terms]
+        assert witt_mul(a, b) == make_witt(field, want)
