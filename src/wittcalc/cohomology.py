@@ -31,12 +31,10 @@ from .fields import (
 from .witt import (
     DiagonalForm,
     PfisterPresentation,
-    lambda_power,
+    lambda_combination,
     pfister,
     witt_add,
-    witt_int_scale,
     witt_mul,
-    witt_zero,
 )
 
 
@@ -232,15 +230,11 @@ class ModSwLiftRecipe:
     two_scaled: tuple[int, ...] | None
 
     def apply(self, q: DiagonalForm):
-        out = witt_zero(q.field)
-        for l, c in enumerate(self.plain):
-            out = witt_add(out, witt_int_scale(c, lambda_power(q, l)))
+        out = lambda_combination(q, self.plain)
         if self.two_scaled is not None:
             two = pfister(q.field, [canonicalize(2, q.field)])
-            part = witt_zero(q.field)
-            for l, c in enumerate(self.two_scaled):
-                part = witt_add(part, witt_int_scale(c, lambda_power(q, l)))
-            out = witt_add(out, witt_mul(two, part))
+            if two.terms:  # <<2>> = 0 where 2 is a square, as over R((t_1))...((t_g))
+                out = witt_add(out, witt_mul(two, lambda_combination(q, self.two_scaled)))
         return out
 
 

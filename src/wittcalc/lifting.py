@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import xor
+from operator import add, mul, sub, xor
 
 from . import fields
-from .cohomology import CohClass, cup, padded_symbol
+from .cohomology import CohClass, padded_symbol
 from .errors import (
     BackendMismatch,
+    DegreeOutOfRange,
     InvalidInput,
     NotInIdealPower,
     NotInSpan,
@@ -31,24 +32,21 @@ from .witt import (
     pfister,
     signature_vector,
     witt_add,
-    witt_eq,
     witt_from_json,
-    witt_int_scale,
     witt_mul,
+    witt_neg,
     witt_sub,
     witt_to_json,
     witt_zero,
 )
 
 
-def e_extract(w: WittClass, d: int) -> CohClass:
-    """Degree-d cohomological image of a class in I^d over the formal backend."""
-    field = w.field
-    if field.kind != fields.FORMAL:
-        raise UnsupportedBackend("signature interpolation needs the formal backend")
-    g = field.g
+def _e_masks(sigs: list[int], g: int, d: int) -> list[int]:
+    """Generator masks (generator i on bit g-1-i) of the symbols of the
+    degree-d image of the class with signature vector ``sigs``."""
+    if d < 0:
+        raise DegreeOutOfRange(f"e-map degree {d} out of range")
     scale = 2**d
-    sigs = signature_vector(w)  # by the mask of the negative generators
     bad = next((s for s in sigs if s % scale), None)
     if bad is not None:
         raise NotInIdealPower(f"signature {bad} not divisible by 2^{d}")
@@ -58,18 +56,26 @@ def e_extract(w: WittClass, d: int) -> CohClass:
     for _ in range(g):
         ev, od = f[0::2], f[1::2]
         f = ev + list(map(xor, ev, od))
+    masks = [mask for mask, c in enumerate(f) if c]
+    if any(mask.bit_count() > d for mask in masks):
+        raise NotInIdealPower("signature function has degree above the requested power")
+    return masks
+
+
+def e_extract(w: WittClass, d: int) -> CohClass:
+    """Degree-d cohomological image of a class in I^d over the formal backend."""
+    field = w.field
+    if field.kind != fields.FORMAL:
+        raise UnsupportedBackend("signature interpolation needs the formal backend")
+    g = field.g
+    # signatures by the mask of the negative generators
+    masks = _e_masks(signature_vector(w), g, d)
     gens = [fields.generator(field, i) for i in range(g)]
-    symbols = set()
-    for mask, c in enumerate(f):
-        if not c:
-            continue
-        if mask.bit_count() > d:
-            raise NotInIdealPower(
-                "signature function has degree above the requested power"
-            )
-        factors = [gens[i] for i in range(g) if mask >> (g - 1 - i) & 1]
-        symbols.add(padded_symbol(field, factors, d))
-    return CohClass(field, d, frozenset(symbols))
+    symbols = frozenset(
+        padded_symbol(field, [gens[i] for i in range(g) if mask >> (g - 1 - i) & 1], d)
+        for mask in masks
+    )
+    return CohClass(field, d, symbols)
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,13 @@ def decompose(
     target: EvaluationTable, generators: list[EvaluationTable], n0: int
 ) -> Decomposition:
     """Express the target table as a W-combination of the generator tables,
-    peeling cohomological images degree by degree up to n0."""
+    peeling cohomological images degree by degree up to n0.
+
+    Values are kept as signature vectors: W of the formal backend embeds in
+    Z^(2^g) by its signatures, which multiply pointwise.  A degree-n
+    normal-form symbol is kept as the mask of its generators (padded with
+    (-1) up to n), so the cup of two symbols is the union of their masks.
+    """
     if not target.samples:
         raise InvalidInput("empty sample list")
     field = target.values[0].field
@@ -128,71 +140,79 @@ def decompose(
             raise InvalidInput("generator degree exceeds n0")
     g = field.g
     fields.orderings(field)  # refuses g above the cap before any work
-    nsamples = len(target.samples)
-    residual = list(target.values)
+    residual = [signature_vector(w) for w in target.values]
+    gen_sigs = [[signature_vector(w) for w in tab.values] for tab in generators]
+    # each generator's e-images at its declared degree, read when a degree
+    # first needs that generator
+    gen_masks: list = [None] * len(generators)
     coeffs = [witt_zero(field) for _ in generators]
     gens = [fields.generator(field, j) for j in range(g)]
-    # degree-n normal-form symbols, by generator subset: size, then lexicographic
-    basis = {
-        n: [
-            padded_symbol(field, [gens[j] for j in s], n)
-            for k in range(min(n, g) + 1)
-            for s in itertools.combinations(range(g), k)
-        ]
-        for n in range(n0 + 1)
-    }
+    m1 = fields.minus_one(field)
+    # normal-form symbols as generator masks: subsets by size, then
+    # lexicographic; those of degree n have at most n generators
+    masks = [
+        sum(1 << (g - 1 - j) for j in s)
+        for k in range(min(n0, g) + 1)
+        for s in itertools.combinations(range(g), k)
+    ]
     for n in range(n0 + 1):
-        r_sym = [e_extract(residual[s], n) for s in range(nsamples)]
-        if all(c.is_presented_zero() for c in r_sym):
+        if not any(map(any, residual)):
+            break  # a zero residual has no image at any later degree
+        r_masks = [set(_e_masks(r, g, n)) for r in residual]
+        if not any(r_masks):
             continue
-        # unknowns: (generator index, coefficient symbol)
+        basis = [b for b in masks if b.bit_count() <= n]
+        # unknowns: (generator index, coefficient symbol mask); per unknown
+        # and sample, the degree-n symbol masks of their cup
         unknowns = []
-        columns = []  # per unknown, per sample, the degree-n symbols
+        columns = []
         for i, tab in enumerate(generators):
             m = tab.declared_degree
             if m > n:
                 continue
-            gen_sym = [e_extract(tab.values[s], m) for s in range(nsamples)]
-            for beta in basis[n - m]:
-                beta_cls = CohClass(field, n - m, frozenset({beta}))
-                unknowns.append((i, beta))
-                columns.append(
-                    [cup(beta_cls, gen_sym[s]).symbols for s in range(nsamples)]
-                )
+            if gen_masks[i] is None:
+                gen_masks[i] = [_e_masks(sig, g, m) for sig in gen_sigs[i]]
+            for b in basis:
+                if b.bit_count() > n - m:
+                    continue
+                unknowns.append((i, n - m, b))
+                col = []
+                for ts in gen_masks[i]:
+                    cup: set = set()
+                    for t in ts:
+                        cup ^= {b | t}
+                    col.append(cup)
+                columns.append(col)
         rows = []
-        for s in range(nsamples):
-            for tgt in basis[n]:
-                mask = 0
-                for u, col in enumerate(columns):
-                    if tgt in col[s]:
-                        mask |= 1 << u
-                rows.append((mask, 1 if tgt in r_sym[s].symbols else 0))
+        for s, rm in enumerate(r_masks):
+            hit: dict[int, int] = {}
+            for u, col in enumerate(columns):
+                for t in col[s]:
+                    hit[t] = hit.get(t, 0) | 1 << u
+            rows.extend((hit.get(t, 0), int(t in rm)) for t in basis)
         sol = _solve_f2(rows, len(unknowns))
         if sol is None:
             raise NotInSpan(f"degree-{n} image not in the span of the generators")
-        for u, (i, beta) in enumerate(unknowns):
+        for u, (i, k, b) in enumerate(unknowns):
             if not (sol >> u & 1):
                 continue
-            q = pfister(field, beta.factors)
+            factors = [gens[j] for j in range(g) if b >> (g - 1 - j) & 1]
+            q = pfister(field, factors + [m1] * (k - len(factors)))
             # +q and -q have the same mod-2 image; pick the sign that
-            # shrinks the signature profile of the residual
-            best = None
-            for sign in (1, -1):
-                cand = [
-                    witt_sub(
-                        residual[s],
-                        witt_int_scale(sign, witt_mul(q, generators[i].values[s])),
-                    )
-                    for s in range(nsamples)
-                ]
-                norm = sum(abs(s) for w in cand for s in signature_vector(w))
-                if best is None or norm < best[0]:
-                    best = (norm, sign, cand)
-            coeffs[i] = witt_add(coeffs[i], witt_int_scale(best[1], q))
-            residual = best[2]
-    constant = residual[0]
-    if not all(witt_eq(residual[s], constant) for s in range(1, nsamples)):
+            # shrinks the signature profile of the residual, +q on a tie
+            sq = signature_vector(q)
+            prods = [list(map(mul, sq, sig)) for sig in gen_sigs[i]]
+            plus = sum(sum(map(abs, map(sub, rs, ps))) for rs, ps in zip(residual, prods))
+            minus = sum(sum(map(abs, map(add, rs, ps))) for rs, ps in zip(residual, prods))
+            op = add if minus < plus else sub
+            residual = [list(map(op, rs, ps)) for rs, ps in zip(residual, prods)]
+            coeffs[i] = witt_add(coeffs[i], q if op is sub else witt_neg(q))
+    # the signatures determine the class, so equal vectors are equal classes
+    if any(r != residual[0] for r in residual[1:]):
         raise ResidualNonConstant("residual differs across samples")
+    constant = target.values[0]
+    for c, tab in zip(coeffs, generators):
+        constant = witt_sub(constant, witt_mul(c, tab.values[0]))
     base_ok = not any(cls.data[1] for cls, _ in constant.terms)
     return Decomposition(tuple(coeffs), constant, base_ok)
 

@@ -181,21 +181,39 @@ class PfisterPresentation:
         return out
 
 
-def lambda_power(q: DiagonalForm, d: int) -> WittClass:
-    """Sum of <prod_{i in I} a_i> over size-d subsets I, via iterative DP on
-    the payloads (fields.payload_mul); each class is wrapped once, at the end."""
-    if not 0 <= d <= q.dim:
-        raise DegreeOutOfRange(f"lambda degree {d} out of range for dim {q.dim}")
+def _lambda_rows(q: DiagonalForm, d: int) -> list[dict]:
+    """Payload -> coefficient maps of lambda^0..lambda^d of q, in one
+    iterative DP on the payloads (fields.payload_mul)."""
     mul = fields.payload_mul(q.field)
-    rows: list[dict] = [dict() for _ in range(d + 1)]
-    rows[0][trivial_class(q.field).data] = 1
+    rows: list[dict] = [{trivial_class(q.field).data: 1}] + [dict() for _ in range(d)]
     for idx, a in enumerate(e.data for e in q.entries):
         for j in range(min(d, idx + 1), 0, -1):
             tgt = rows[j]
             for c, k in rows[j - 1].items():
                 c = mul(c, a)
                 tgt[c] = tgt.get(c, 0) + k
-    return make_witt(q.field, [(SquareClass(q.field, c), k) for c, k in rows[d].items()])
+    return rows
+
+
+def lambda_power(q: DiagonalForm, d: int) -> WittClass:
+    """Sum of <prod_{i in I} a_i> over size-d subsets I; each class is
+    wrapped once, at the end."""
+    if not 0 <= d <= q.dim:
+        raise DegreeOutOfRange(f"lambda degree {d} out of range for dim {q.dim}")
+    row = _lambda_rows(q, d)[d]
+    return make_witt(q.field, [(SquareClass(q.field, c), k) for c, k in row.items()])
+
+
+def lambda_combination(q: DiagonalForm, coeffs) -> WittClass:
+    """sum_l coeffs[l] lambda^l(q), from one DP and one make_witt."""
+    if len(coeffs) > q.dim + 1:
+        raise DegreeOutOfRange(f"lambda degree {q.dim + 1} out of range for dim {q.dim}")
+    acc: dict = {}
+    for c, row in zip(coeffs, _lambda_rows(q, len(coeffs) - 1)):
+        if c:
+            for p, k in row.items():
+                acc[p] = acc.get(p, 0) + c * k
+    return make_witt(q.field, [(SquareClass(q.field, p), k) for p, k in acc.items()])
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,10 +10,21 @@ from pathlib import Path
 import pytest
 
 from wittcalc import cli
-from wittcalc.fields import rationals
-from wittcalc.weyl import BN, torsor_to_json, wreath
-from wittcalc.sampling import trivial_torsor
-from wittcalc.witt import diagonal, form_from_json, from_diagonal, witt_eq, witt_from_json
+from wittcalc.fields import formal, generator, rationals
+from wittcalc.lifting import EvaluationTable, table_to_json
+from wittcalc.weyl import BN, lift_u, torsor_to_json, wreath
+from wittcalc.sampling import random_torsor, trivial_torsor
+from wittcalc.witt import (
+    diagonal,
+    form_from_json,
+    from_diagonal,
+    pfister,
+    witt_eq,
+    witt_from_json,
+    witt_int_scale,
+    witt_mul,
+    witt_sub,
+)
 
 Q = rationals()
 
@@ -150,6 +162,32 @@ def test_ordering_cap_is_input_error(tmp_path):
     assert time.monotonic() - t0 < 1
     assert out.returncode == 2
     assert json.loads(out.stderr)["error"] == "OrderingLimitExceeded"
+
+
+def test_decompose_cost_does_not_grow_with_n0(capsys, tmp_path):
+    # once the residual vanishes no later degree peels anything, so n0 = 100000
+    # answers at once, and as n0 = 4 does
+    f = formal(2)
+    t = random_torsor(random.Random(0), f, BN, 2, 2)
+    gens = [EvaluationTable((t,), (lift_u(t, d),), d) for d in range(3)]
+    t1 = pfister(f, [generator(f, 0)])
+    value = witt_sub(witt_int_scale(3, lift_u(t, 0)), witt_mul(t1, lift_u(t, 1)))
+    payload = {
+        "target": table_to_json(EvaluationTable((t,), (value,), 0)),
+        "generators": [table_to_json(tab) for tab in gens],
+    }
+    code, want, _ = run_json(capsys, ["lift", "decompose"], {**payload, "n0": 4}, tmp_path)
+    assert code == 0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**payload, "n0": 100000}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "wittcalc.cli", "lift", "decompose", "--input", str(path)],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == want
 
 
 def test_cli_import_leaves_numpy_out():

@@ -8,6 +8,7 @@ import pytest
 from fractions import Fraction
 
 from wittcalc import errors, fields
+from wittcalc.cohomology import sw_mod_lift
 from wittcalc.fields import (
     canonicalize,
     finite_field,
@@ -27,6 +28,7 @@ from wittcalc.witt import (
     from_diagonal,
     gram,
     gram_of_diagonal,
+    lambda_combination,
     lambda_power,
     lambda_power_gram_oracle,
     make_witt,
@@ -368,8 +370,18 @@ def _oracle_class(rng, field):
 )
 def test_payload_products_match_square_class_products(field):
     # lambda_power and witt_mul multiply payloads; the oracle folds SquareClass
-    # objects with sq_mul, subset by subset and term by term
+    # objects with sq_mul, subset by subset and term by term.
+    # lambda_combination and sw_mod_lift(n, d).apply sum rows of one DP; the
+    # oracle sums lambda_power terms with witt_add and witt_int_scale
     rng = random.Random(str(field))
+    crng = random.Random(f"combination {field}")
+
+    def lambda_sum(q, coeffs):
+        out = witt_zero(field)
+        for l, c in enumerate(coeffs):
+            out = witt_add(out, witt_int_scale(c, lambda_power(q, l)))
+        return out
+
     for dim in (0, 1, 2, 5, 8):
         q = DiagonalForm(field, tuple(_oracle_class(rng, field) for _ in range(dim)))
         for d in range(dim + 1):
@@ -377,6 +389,20 @@ def test_payload_products_match_square_class_products(field):
             for subset in itertools.combinations(q.entries, d):
                 want.append((functools.reduce(fields.sq_mul, subset, trivial_class(field)), 1))
             assert lambda_power(q, d) == make_witt(field, want)
+            coeffs = [crng.choice((0, 0, 1, -1, 3, -4)) for _ in range(d + 1)]
+            assert lambda_combination(q, coeffs) == lambda_sum(q, coeffs)
+        assert lambda_combination(q, []) == witt_zero(field)
+        with pytest.raises(errors.DegreeOutOfRange):
+            lambda_combination(q, [1] * (dim + 2))
+    two = pfister(field, [canonicalize(2, field)])
+    for n in range(7):
+        q = DiagonalForm(field, tuple(_oracle_class(crng, field) for _ in range(n)))
+        for d in range(n + 1):
+            rec = sw_mod_lift(n, d)
+            want = lambda_sum(q, rec.plain)
+            if rec.two_scaled is not None:
+                want = witt_add(want, witt_mul(two, lambda_sum(q, rec.two_scaled)))
+            assert rec.apply(q) == want
     for _ in range(10):
         a, b = (
             make_witt(field, [(_oracle_class(rng, field), rng.randint(-3, 3)) for _ in range(6)])
