@@ -71,7 +71,7 @@ def padded_symbol(field: FieldDescriptor, classes, degree: int) -> Symbol:
     ``classes``, padded with (-1) up to ``degree`` and sorted."""
     m1 = minus_one(field)
     factors = list(classes) + [m1] * (degree - len(classes))
-    factors.sort(key=lambda c: c.sort_key())
+    factors.sort(key=lambda c: c.data)
     return Symbol(field, tuple(factors))
 
 

@@ -204,9 +204,6 @@ class SquareClass:
     def is_trivial(self) -> bool:
         return self == trivial_class(self.field)
 
-    def sort_key(self):
-        return self.data if isinstance(self.data, tuple) else (self.data,)
-
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return sq_mul(self, other)
 
@@ -327,6 +324,24 @@ def payload_mul(field: FieldDescriptor):
     return lambda a, b: (const_mul(a[0], b[0]), tuple(sorted(set(a[1]).symmetric_difference(b[1]))))
 
 
+def payload_fold(field: FieldDescriptor):
+    """The fold <-a> = -<a> over ``field``, as a map from a payload
+    (``.data``) to (payload of the backend's preferred representative, sign)."""
+    kind = field.kind
+    if kind == RATIONALS:
+        return lambda a: (-a, -1) if a < 0 else (a, 1)
+    if kind == FINITE:
+        # p = 3 mod 4: the nonresidue class is <-1>
+        return (lambda a: (0, 1 - 2 * a)) if field.p % 4 == 3 else (lambda a: (a, 1))
+    if kind == REALS:
+        return lambda a: (1, a)
+    if kind == FORMAL:
+        return lambda a: ((False, a[1]), -1) if a[0] else (a, 1)
+    if kind == LAURENT_Q:
+        return lambda a: ((-a[0], a[1]), -1) if a[0] < 0 else (a, 1)
+    raise _unsupported(field, "Witt arithmetic")
+
+
 def sq_mul(a: SquareClass, b: SquareClass) -> SquareClass:
     if a.field != b.field:
         raise BackendMismatch("square classes over different backends")
@@ -372,14 +387,14 @@ def f2_reduce(rows: Iterable[int]) -> list[int]:
     kept row pivoting on its top bit; the nonzero results are kept and
     returned in input order (dependent rows reduce to 0 and are dropped).
     """
-    kept: list[int] = []
+    kept: list[tuple[int, int]] = []  # (top bit, row)
     for row in rows:
-        for piv in kept:
-            if row >> (piv.bit_length() - 1) & 1:
+        for top, piv in kept:
+            if row & top:
                 row ^= piv
         if row:
-            kept.append(row)
-    return kept
+            kept.append((1 << (row.bit_length() - 1), row))
+    return [row for _, row in kept]
 
 
 def f2_independent(classes) -> bool:
@@ -532,7 +547,7 @@ def sq_to_json(a: SquareClass):
 
 def sq_from_json(obj, field: FieldDescriptor) -> SquareClass:
     if field.kind in (RATIONALS, FINITE):
-        if not isinstance(obj, int):
+        if not isinstance(obj, int) or isinstance(obj, bool):
             raise BadBackend(f"expected integer square class, got {obj!r}")
         if field.kind == FINITE and obj not in (0, 1):
             raise BadBackend(f"finite square class must be 0/1, got {obj!r}")
@@ -546,7 +561,10 @@ def sq_from_json(obj, field: FieldDescriptor) -> SquareClass:
             raise BadBackend(f"expected formal square class object, got {obj!r}")
         gens = json_checked(obj.get("gens", []), list, "gens")
         gens = tuple(json_checked(i, int, "generator index") for i in gens)
-        return canonicalize((obj.get("neg", False), gens), field)
+        neg = obj.get("neg", False)
+        if not isinstance(neg, bool):
+            raise InvalidInput(f"neg must be a boolean, got {neg!r:.60}")
+        return canonicalize((neg, gens), field)
     raise _unsupported(field, "JSON")
 
 

@@ -10,6 +10,7 @@ the degree-d cohomological image symbol by symbol.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import add, mul, sub, xor
@@ -28,7 +29,6 @@ from .errors import (
 from .weyl import MultiquadraticTorsor, torsor_from_json, torsor_to_json
 from .witt import (
     WittClass,
-    filtration_degree,
     pfister,
     signature_vector,
     witt_add,
@@ -89,11 +89,25 @@ class EvaluationTable:
     def __post_init__(self) -> None:
         if len(self.samples) != len(self.values):
             raise InvalidInput("one value per sample required")
+        d = self.declared_degree
+        sigs = []
         for w in self.values:
             if w.field.kind != fields.FORMAL:
                 raise UnsupportedBackend("tables are evaluated over the formal backend")
-            if filtration_degree(w, self.declared_degree) < self.declared_degree:
+            if d < 0:
+                raise DegreeOutOfRange("cap must be >= 0")
+            sigs.append(signature_vector(w))
+            # in I^d iff every signature is divisible by 2^d (filtration_degree)
+            if any(s % (1 << d) for s in sigs[-1]):
                 raise InvalidInput("value below the declared filtration degree")
+        # the value of the cached property below, which a table made without
+        # __post_init__ computes on first use
+        object.__setattr__(self, "signature_vectors", sigs)
+
+    @functools.cached_property
+    def signature_vectors(self) -> list[list[int]]:
+        """witt.signature_vector of each value, computed once per table."""
+        return [signature_vector(w) for w in self.values]
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,8 @@ def decompose(
             raise InvalidInput("generator degree exceeds n0")
     g = field.g
     fields.orderings(field)  # refuses g above the cap before any work
-    residual = [signature_vector(w) for w in target.values]
-    gen_sigs = [[signature_vector(w) for w in tab.values] for tab in generators]
+    residual = target.signature_vectors
+    gen_sigs = [tab.signature_vectors for tab in generators]
     # each generator's e-images at its declared degree, read when a degree
     # first needs that generator
     gen_masks: list = [None] * len(generators)

@@ -34,7 +34,7 @@ from .errors import (
     SizeMismatch,
     WrongTarget,
 )
-from .etale import EtaleAlgebra, Multiquadratic, trace_form
+from .etale import DEGREE_CAP, EtaleAlgebra, Multiquadratic, trace_form
 from .fields import FieldDescriptor, SquareClass, canonicalize, rationals
 from .witt import (
     DiagonalForm,
@@ -156,6 +156,8 @@ class MultiquadraticTorsor:
         kind, n = self.target
         if kind not in (SN, BN, DN):
             raise InvalidInput(f"unknown target {kind!r}")
+        if n < 1:
+            raise InvalidInput(f"target degree must be >= 1, got {n}")
         if self.field.kind not in (fields.RATIONALS,) + fields.TOWERS:
             raise BadBackend("torsors live over the rationals or formal backends")
         if len(self.images) != len(self.d):
@@ -230,6 +232,9 @@ def gset_rho2(t: MultiquadraticTorsor) -> GSet:
 
 
 def gset_dn(t: MultiquadraticTorsor) -> GSet:
+    if t.n - 1 > DEGREE_CAP:
+        # refused before even_vectors(n) or any list of the cosets exists
+        raise DegreeOutOfRange(f"D_{t.n} has 2^{t.n - 1} cosets; at most 2^{DEGREE_CAP}")
     return GSet(2 ** (t.n - 1), tuple(dn_coset_action(t.n, g) for g in t.images))
 
 

@@ -52,32 +52,6 @@ def diagonal(field: FieldDescriptor, raws) -> DiagonalForm:
     return DiagonalForm(field, tuple(canonicalize(r, field) for r in raws))
 
 
-def _fold(field: FieldDescriptor, cls: SquareClass, coeff: int) -> tuple[SquareClass, int]:
-    """Fold <-a> = -<a> onto the backend's preferred representative."""
-    kind = field.kind
-    if kind == fields.RATIONALS:
-        if cls.data < 0:
-            return SquareClass(field, -cls.data), -coeff
-    elif kind == fields.REALS:
-        if cls.data < 0:
-            return SquareClass(field, 1), -coeff
-    elif kind == fields.FORMAL:
-        neg, gens = cls.data
-        if neg:
-            return SquareClass(field, (False, gens)), -coeff
-    elif kind == fields.LAURENT_Q:
-        r, gens = cls.data
-        if r < 0:
-            return SquareClass(field, (-r, gens)), -coeff
-    elif kind == fields.FINITE:
-        if cls.data == 1 and cls == minus_one(field):
-            # p = 3 mod 4: the nonresidue class is <-1>
-            return trivial_class(field), -coeff
-    else:
-        raise UnsupportedBackend(f"no Witt classes over {field}")
-    return cls, coeff
-
-
 @dataclass(frozen=True)
 class WittClass:
     field: FieldDescriptor
@@ -93,14 +67,22 @@ class WittClass:
         return not self.terms
 
 
+def _witt(field: FieldDescriptor, terms) -> WittClass:
+    """The class sum k<p> over (payload p, coeff k) pairs: each term folded
+    by fields.payload_fold, equal payloads summed, zeros dropped, sorted by
+    payload, each class wrapped once."""
+    fold = fields.payload_fold(field)
+    acc: dict = {}
+    for p, k in terms:
+        p, s = fold(p)
+        acc[p] = acc.get(p, 0) + s * k
+    return WittClass(field, tuple((SquareClass(field, p), k) for p, k in sorted(acc.items()) if k))
+
+
 def make_witt(field: FieldDescriptor, term_map) -> WittClass:
-    acc: dict[SquareClass, int] = {}
-    for cls, coeff in term_map.items() if isinstance(term_map, dict) else term_map:
-        cls, coeff = _fold(field, cls, coeff)
-        acc[cls] = acc.get(cls, 0) + coeff
-    items = [(c, k) for c, k in acc.items() if k != 0]
-    items.sort(key=lambda t: t[0].sort_key())
-    return WittClass(field, tuple(items))
+    """The class sum k<c> over a {SquareClass: coeff} map or (c, k) pairs."""
+    terms = term_map.items() if isinstance(term_map, dict) else term_map
+    return _witt(field, ((c.data, k) for c, k in terms))
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
@@ -108,23 +90,17 @@ def witt_zero(field: FieldDescriptor) -> WittClass:
 
 
 def witt_one(field: FieldDescriptor) -> WittClass:
-    return make_witt(field, {trivial_class(field): 1})
+    return _witt(field, [(trivial_class(field).data, 1)])
 
 
 def from_diagonal(q: DiagonalForm) -> WittClass:
-    acc: dict[SquareClass, int] = {}
-    for e in q.entries:
-        acc[e] = acc.get(e, 0) + 1
-    return make_witt(q.field, acc)
+    return _witt(q.field, ((e.data, 1) for e in q.entries))
 
 
 def witt_add(a: WittClass, b: WittClass) -> WittClass:
     if a.field != b.field:
         raise BackendMismatch("witt classes over different backends")
-    acc = dict(a.terms)
-    for cls, k in b.terms:
-        acc[cls] = acc.get(cls, 0) + k
-    return make_witt(a.field, acc)
+    return _witt(a.field, ((c.data, k) for c, k in a.terms + b.terms))
 
 
 def witt_neg(a: WittClass) -> WittClass:
@@ -139,26 +115,19 @@ def witt_mul(a: WittClass, b: WittClass) -> WittClass:
     if a.field != b.field:
         raise BackendMismatch("witt classes over different backends")
     mul = fields.payload_mul(a.field)
-    acc: dict = {}
-    for ca, ka in a.terms:
-        for cb, kb in b.terms:
-            c = mul(ca.data, cb.data)
-            acc[c] = acc.get(c, 0) + ka * kb
-    return make_witt(a.field, [(SquareClass(a.field, c), k) for c, k in acc.items()])
+    terms = ((mul(ca.data, cb.data), ka * kb) for ca, ka in a.terms for cb, kb in b.terms)
+    return _witt(a.field, terms)
 
 
 def witt_int_scale(k: int, a: WittClass) -> WittClass:
-    return make_witt(a.field, {c: k * v for c, v in a.terms})
+    return WittClass(a.field, tuple((c, k * v) for c, v in a.terms) if k else ())
 
 
 def pfister(field: FieldDescriptor, alphas) -> WittClass:
-    """n-fold Pfister form <<a_1, ..., a_n>> = (x) <1, -a_i>; empty product is <1>."""
-    out = witt_one(field)
-    for a in alphas:
-        cls = canonicalize(a, field)
-        factor = make_witt(field, [(trivial_class(field), 1), (cls, -1)])
-        out = witt_mul(out, factor)
-    return out
+    """n-fold Pfister form <<a_1, ..., a_n>> = (x) (<1> - <a_i>), which is
+    sum_j (-1)^j lambda^j <a_1, ..., a_n>; the empty product is <1>."""
+    q = diagonal(field, alphas)
+    return lambda_combination(q, [(-1) ** j for j in range(q.dim + 1)])
 
 
 @dataclass(frozen=True)
@@ -175,10 +144,8 @@ class PfisterPresentation:
                 raise DegreeOutOfRange("pfister term of wrong degree")
 
     def to_witt(self) -> WittClass:
-        out = witt_zero(self.field)
-        for coeff, gens in self.terms:
-            out = witt_add(out, witt_int_scale(coeff, pfister(self.field, gens)))
-        return out
+        forms = [(coeff, pfister(self.field, gens)) for coeff, gens in self.terms]
+        return _witt(self.field, ((c.data, coeff * k) for coeff, w in forms for c, k in w.terms))
 
 
 def _lambda_rows(q: DiagonalForm, d: int) -> list[dict]:
@@ -196,24 +163,18 @@ def _lambda_rows(q: DiagonalForm, d: int) -> list[dict]:
 
 
 def lambda_power(q: DiagonalForm, d: int) -> WittClass:
-    """Sum of <prod_{i in I} a_i> over size-d subsets I; each class is
-    wrapped once, at the end."""
+    """Sum of <prod_{i in I} a_i> over size-d subsets I."""
     if not 0 <= d <= q.dim:
         raise DegreeOutOfRange(f"lambda degree {d} out of range for dim {q.dim}")
-    row = _lambda_rows(q, d)[d]
-    return make_witt(q.field, [(SquareClass(q.field, c), k) for c, k in row.items()])
+    return _witt(q.field, _lambda_rows(q, d)[d].items())
 
 
 def lambda_combination(q: DiagonalForm, coeffs) -> WittClass:
-    """sum_l coeffs[l] lambda^l(q), from one DP and one make_witt."""
+    """sum_l coeffs[l] lambda^l(q), from one DP."""
     if len(coeffs) > q.dim + 1:
         raise DegreeOutOfRange(f"lambda degree {q.dim + 1} out of range for dim {q.dim}")
-    acc: dict = {}
-    for c, row in zip(coeffs, _lambda_rows(q, len(coeffs) - 1)):
-        if c:
-            for p, k in row.items():
-                acc[p] = acc.get(p, 0) + c * k
-    return make_witt(q.field, [(SquareClass(q.field, p), k) for p, k in acc.items()])
+    rows = _lambda_rows(q, len(coeffs) - 1)
+    return _witt(q.field, ((p, c * k) for c, row in zip(coeffs, rows) if c for p, k in row.items()))
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:

@@ -317,6 +317,42 @@ def test_reader_shapes_are_input_errors(capsys, tmp_path, argv, payload):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize(
+    "argv, payload, error",
+    [
+        (["form", "lambda"], {"form": [True, 3], "d": 1}, "BadBackend"),
+        (["form", "lambda", "--field", "fp:7"], {"form": [False, 1], "d": 1}, "BadBackend"),
+        (["form", "eq"], {"a": [{"class": True, "coeff": 1}], "b": []}, "BadBackend"),
+        (["form", "pfister", "--field", "formal:3"], {"alphas": [{"neg": "yes"}]}, "InvalidInput"),
+        (["form", "pfister", "--field", "formal:3"], {"alphas": [{"neg": 1}]}, "InvalidInput"),
+        (["form", "pfister", "--field", "formal:3"], {"alphas": [{"neg": None}]}, "InvalidInput"),
+    ],
+)
+def test_square_classes_refuse_bools_and_non_bool_neg(capsys, tmp_path, argv, payload, error):
+    # a bool is not an integer class, and only a bool is a neg flag
+    code, out, err = run_json(capsys, argv, payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "invariant, kind, n, error",
+    [
+        ("r", "dn", 0, "InvalidInput"),
+        ("r", "dn", -2, "InvalidInput"),
+        ("r", "dn", 40, "DegreeOutOfRange"),
+        ("aK", "bn", 0, "InvalidInput"),
+        ("aK", "bn", -2, "InvalidInput"),
+    ],
+)
+def test_torsor_sizes_are_checked(capsys, tmp_path, invariant, kind, n, error):
+    # torsors without images; 2^39 D_40 cosets are refused before any is built
+    payload = {"torsor": {**_TORSOR, "target": {"type": kind, "n": n}}}
+    code, out, err = run_json(capsys, ["weyl", "eval", "--invariant", invariant], payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_gram_entries_are_integers_or_rational_strings(capsys, tmp_path):
     payload = {"gram": [["-3/4", 2], [2, "5"]]}
     code, out, _ = run_json(capsys, ["form", "diagonalize"], payload, tmp_path)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from wittcalc import errors, fields, witt
+from wittcalc import errors, fields, lifting, witt
 from wittcalc.cohomology import CohClass, coh_add, coh_zero, cup, e_map, padded_symbol
 from wittcalc.fields import canonicalize, formal, rationals
 from wittcalc.lifting import (
@@ -400,6 +400,33 @@ def test_table_validation():
         EvaluationTable(samples, (witt_one(F2),), 1)
     with pytest.raises(errors.UnsupportedBackend):
         EvaluationTable(samples, (witt_one(rationals()),), 0)
+    with pytest.raises(errors.DegreeOutOfRange, match="cap must be >= 0"):
+        EvaluationTable(samples, (witt_one(F2),), -1)
+    big = formal(fields.MAX_ORDERING_GENERATORS + 1)
+    with pytest.raises(errors.OrderingLimitExceeded):
+        EvaluationTable(samples, (witt_one(big),), 0)
+
+
+def test_table_signature_vectors_are_computed_once(monkeypatch):
+    rng = random.Random(61)
+    _, tables = make_tables(rng, ntrials=3, n=1)
+    seen = []
+
+    def counting(w):
+        seen.append(w)
+        return signature_vector(w)
+
+    monkeypatch.setattr(lifting, "signature_vector", counting)
+    tables = [EvaluationTable(t.samples, t.values, t.declared_degree) for t in tables]
+    values = [w for t in tables for w in t.values]
+    assert seen == values
+    for tab in tables:
+        assert tab.signature_vectors == [signature_vector(w) for w in tab.values]
+    seen.clear()
+    dec = decompose(tables[1], tables, n0=2)
+    assert dec.residual_ok
+    # decompose reads the tables' vectors; it computes only its coefficients'
+    assert not any(w is v for w in seen for v in values)
 
 
 def test_table_json_roundtrip():

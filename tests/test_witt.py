@@ -10,6 +10,7 @@ from fractions import Fraction
 from wittcalc import errors, fields
 from wittcalc.cohomology import sw_mod_lift
 from wittcalc.fields import (
+    SquareClass,
     canonicalize,
     finite_field,
     formal,
@@ -22,6 +23,8 @@ from wittcalc.fields import (
 from wittcalc.sampling import random_form, random_square_class
 from wittcalc.witt import (
     DiagonalForm,
+    PfisterPresentation,
+    WittClass,
     diagonal,
     diagonalize,
     filtration_degree,
@@ -410,3 +413,103 @@ def test_payload_products_match_square_class_products(field):
         )
         want = [(fields.sq_mul(ca, cb), ka * kb) for ca, ka in a.terms for cb, kb in b.terms]
         assert witt_mul(a, b) == make_witt(field, want)
+
+
+def _parent_fold(field, cls, coeff):
+    """The fold <-a> = -<a> as witt._fold did it before fields.payload_fold."""
+    kind = field.kind
+    if kind == fields.RATIONALS:
+        if cls.data < 0:
+            return SquareClass(field, -cls.data), -coeff
+    elif kind == fields.REALS:
+        if cls.data < 0:
+            return SquareClass(field, 1), -coeff
+    elif kind == fields.FORMAL:
+        neg, gens = cls.data
+        if neg:
+            return SquareClass(field, (False, gens)), -coeff
+    elif kind == fields.LAURENT_Q:
+        r, gens = cls.data
+        if r < 0:
+            return SquareClass(field, (-r, gens)), -coeff
+    elif kind == fields.FINITE:
+        if cls.data == 1 and cls == fields.minus_one(field):
+            return trivial_class(field), -coeff
+    return cls, coeff
+
+
+def _parent_make_witt(field, term_map):
+    """make_witt through _parent_fold and the old SquareClass.sort_key."""
+    acc = {}
+    for cls, coeff in term_map.items() if isinstance(term_map, dict) else term_map:
+        cls, coeff = _parent_fold(field, cls, coeff)
+        acc[cls] = acc.get(cls, 0) + coeff
+    items = [(c, k) for c, k in acc.items() if k != 0]
+    items.sort(key=lambda t: t[0].data if isinstance(t[0].data, tuple) else (t[0].data,))
+    return WittClass(field, tuple(items))
+
+
+def _parent_mul(a, b):
+    return _parent_make_witt(
+        a.field, [(fields.sq_mul(ca, cb), ka * kb) for ca, ka in a.terms for cb, kb in b.terms]
+    )
+
+
+def _parent_pfister(field, alphas):
+    """<<a_1, ..., a_n>> as the product of the binary forms <1> - <a_i>."""
+    one = trivial_class(field)
+    out = _parent_make_witt(field, {one: 1})
+    for a in alphas:
+        out = _parent_mul(out, _parent_make_witt(field, [(one, 1), (canonicalize(a, field), -1)]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "field",
+    [rationals(), finite_field(3), finite_field(5), reals(), formal(4), laurent_q(2)],
+    ids=str,
+)
+def test_payload_constructor_matches_parent_fold(field):
+    # every class is built from payloads by one constructor; the oracle folds
+    # SquareClass objects one by one and sorts them by the old sort key
+    rng = random.Random(f"fold {field}")
+    m1 = fields.minus_one(field)
+    ref = _parent_make_witt
+
+    def draw():
+        terms = [(_oracle_class(rng, field), rng.choice((-2, -1, 0, 0, 1, 3))) for _ in range(6)]
+        c = _oracle_class(rng, field)
+        # a pair that cancels, and <-c> + <c>, which cancels where -1 is no square
+        terms += [(c, 2), (c, -2), (fields.sq_mul(c, m1), 1), (c, 1)]
+        rng.shuffle(terms)
+        return terms
+
+    for _ in range(20):
+        terms, other = draw(), draw()
+        a, b = make_witt(field, terms), make_witt(field, dict(other))
+        assert a == ref(field, terms) and b == ref(field, dict(other))
+        q = DiagonalForm(field, tuple(c for c, _ in terms))
+        assert from_diagonal(q) == ref(field, [(e, 1) for e in q.entries])
+        assert witt_add(a, b) == ref(field, a.terms + b.terms)
+        assert witt_mul(a, b) == _parent_mul(a, b)
+        for k in (0, -1, -3, 2):
+            assert witt_int_scale(k, a) == ref(field, [(c, k * v) for c, v in a.terms])
+    assert witt_one(field) == ref(field, {trivial_class(field): 1})
+    for n in range(6):
+        for _ in range(4):
+            alphas = [rng.choice((_oracle_class(rng, field), m1, -1)) for _ in range(n)]
+            if n:
+                alphas.append(rng.choice(alphas))  # a repeated entry
+            assert pfister(field, alphas) == _parent_pfister(field, alphas)
+    for degree in range(4):
+        terms = tuple(
+            (
+                rng.choice((-2, -1, 1, 3)),
+                tuple(rng.choice((_oracle_class(rng, field), m1)) for _ in range(degree)),
+            )
+            for _ in range(rng.randint(0, 3))
+        )
+        want = [
+            (c, coeff * k) for coeff, gens in terms for c, k in _parent_pfister(field, gens).terms
+        ]
+        assert PfisterPresentation(field, degree, terms).to_witt() == ref(field, want)
