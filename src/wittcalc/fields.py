@@ -386,15 +386,19 @@ def f2_reduce(rows: Iterable[int]) -> list[int]:
     Each row is reduced, in input order, by the rows kept before it, each
     kept row pivoting on its top bit; the nonzero results are kept and
     returned in input order (dependent rows reduce to 0 and are dropped).
+    A kept row changes no bit above its pivot, so the pivots set in a row are
+    cleared from the highest down, each once: the unique fully reduced row.
     """
-    kept: list[tuple[int, int]] = []  # (top bit, row)
+    pivots: dict[int, int] = {}  # top bit -> kept row, in input order
+    mask = 0  # union of the pivot bits
     for row in rows:
-        for top, piv in kept:
-            if row & top:
-                row ^= piv
+        while hit := row & mask:
+            row ^= pivots[1 << (hit.bit_length() - 1)]
         if row:
-            kept.append((1 << (row.bit_length() - 1), row))
-    return [row for _, row in kept]
+            top = 1 << (row.bit_length() - 1)
+            pivots[top] = row
+            mask |= top
+    return list(pivots.values())
 
 
 def f2_independent(classes) -> bool:

@@ -10,6 +10,7 @@ rank-2 basis of the G2 Weyl group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,6 +191,21 @@ class MultiquadraticTorsor:
     def n(self) -> int:
         return self.target[1]
 
+    # Trace forms of the twisted G-sets, computed on first use into the
+    # instance __dict__, which eq and hash do not read; a raise caches nothing.
+
+    @functools.cached_property
+    def rho_form(self) -> DiagonalForm:
+        return trace_form(twist(self, gset_rho(self)))
+
+    @functools.cached_property
+    def rho2_form(self) -> DiagonalForm:
+        return trace_form(twist(self, gset_rho2(self)))
+
+    @functools.cached_property
+    def dn_form(self) -> DiagonalForm:
+        return trace_form(twist(self, gset_dn(self)))
+
     @property
     def rank(self) -> int:
         return len(self.d)
@@ -261,12 +277,12 @@ def twist(t: MultiquadraticTorsor, x: GSet) -> EtaleAlgebra:
     # generator subsets as bitmasks, generator i on bit m-1-i, so that rows
     # pivot on their lowest generator
     bits = [1 << (m - 1 - i) for i in range(m)]
-    remaining = set(range(1, x.size + 1))
+    seen: set[int] = set()
     components = []
-    while remaining:
-        start = min(remaining)
-        orbit = _orbit(x, start)
-        remaining -= orbit
+    for start in range(1, x.size + 1):
+        if start in seen:
+            continue
+        seen |= _orbit(x, start)
         stab = []
         for eps in range(2**m):
             pt = start
@@ -303,13 +319,13 @@ def _require_target(t: MultiquadraticTorsor, kind: str) -> None:
 def eval_aK(t: MultiquadraticTorsor) -> DiagonalForm:
     """Trace form of the degree-n algebra twisted along the n-point action."""
     _require_target(t, BN)
-    return trace_form(twist(t, gset_rho(t)))
+    return t.rho_form
 
 
 def eval_aL(t: MultiquadraticTorsor) -> DiagonalForm:
     """Trace form of the quadratic layer, via the 2n-point action."""
     _require_target(t, BN)
-    return trace_form(twist(t, gset_rho2(t)))
+    return t.rho2_form
 
 
 def eval_u(t: MultiquadraticTorsor, d: int) -> CohClass:
@@ -328,12 +344,14 @@ def eval_v(t: MultiquadraticTorsor, d: int) -> CohClass:
     """v_d = v'_d + sum_{i<d} u_{d-i} . v_i, with v_0 the unit."""
     if not 0 <= d <= 2 * t.n:
         raise DegreeOutOfRange(f"v degree {d} out of range for n = {t.n}")
+    us = [None]  # us[k] = u_k, each evaluated once
     vs = [coh_unit(t.field)]
     for k in range(1, d + 1):
         acc = eval_v_prime(t, k)
-        for i in range(k):
-            if k - i <= t.n:
-                acc = coh_add(acc, cup(eval_u(t, k - i), vs[i]))
+        if k <= t.n:
+            us.append(eval_u(t, k))
+        for i in range(max(0, k - t.n), k):
+            acc = coh_add(acc, cup(us[k - i], vs[i]))
         vs.append(acc)
     return vs[d]
 
@@ -354,7 +372,7 @@ def lift_v_prime(t: MultiquadraticTorsor, d: int) -> WittClass:
 def eval_r(t: MultiquadraticTorsor) -> DiagonalForm:
     """Trace form of the 2^{n-1}-point coset algebra for the even subgroup."""
     _require_target(t, DN)
-    return trace_form(twist(t, gset_dn(t)))
+    return t.dn_form
 
 
 def eval_dn_traces(t: MultiquadraticTorsor):
@@ -373,8 +391,8 @@ def eval_g2_basis(t2: MultiquadraticTorsor, t3: MultiquadraticTorsor):
         raise WrongTarget("need torsors into S2 and S3")
     if t2.field != t3.field:
         raise BadBackend("component torsors over different backends")
-    a2 = from_diagonal(trace_form(twist(t2, gset_rho(t2))))
-    a3 = from_diagonal(trace_form(twist(t3, gset_rho(t3))))
+    a2 = from_diagonal(t2.rho_form)
+    a3 = from_diagonal(t3.rho_form)
     return witt_one(t2.field), a2, a3, witt_mul(a2, a3)
 
 

@@ -285,3 +285,30 @@ def test_block_table_is_built_on_first_need_only():
         timeout=60,
     )
     assert out.stdout.split() == ["0", "1"], out.stderr
+
+
+def _reference_f2_reduce(rows):
+    # the elimination f2_reduce replaced: every incoming row against every
+    # kept row, in the order they were kept
+    kept = []
+    for row in rows:
+        for top, piv in kept:
+            if row & top:
+                row ^= piv
+        if row:
+            kept.append((1 << (row.bit_length() - 1), row))
+    return [row for _, row in kept]
+
+
+def test_f2_reduce_matches_reference_elimination():
+    rng = random.Random(67)
+    for _ in range(400):
+        width = rng.randint(1, 40)
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 2 * width))]
+        # dependent rows: repeats, and sums of two rows (0 when they coincide)
+        for _ in range(rng.randint(0, 4)):
+            if rows:
+                rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+                rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows) ^ rng.choice(rows))
+        assert fields.f2_reduce(rows) == _reference_f2_reduce(rows), rows
+        assert fields.f2_reduce(iter(rows)) == _reference_f2_reduce(rows)

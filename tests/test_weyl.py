@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
-from wittcalc import errors
-from wittcalc.cohomology import is_zero
-from wittcalc.etale import Multiquadratic
+from wittcalc import errors, weyl
+from wittcalc.cohomology import coh_add, coh_unit, cup, is_zero
+from wittcalc.etale import DEGREE_CAP, Multiquadratic
 from wittcalc.fields import canonicalize, formal, laurent_q, rationals
 from wittcalc.sampling import (
     random_commuting_involutions,
@@ -30,6 +31,7 @@ from wittcalc.weyl import (
     gset_rho,
     gset_rho2,
     lift_u,
+    lift_v_prime,
     perm_identity,
     rho,
     rho2,
@@ -297,3 +299,70 @@ def test_twist_basis_rows_are_pinned():
     t = torsor(Q, [2, 3], (BN, 2), [wreath(2, (2, 1)), wreath(2, flips=(1, 2))])
     alg = twist(t, gset_rho2(t))
     assert [[c.data for c in comp.classes] for comp in alg.components] == [[3, 2]]
+
+
+def test_each_form_is_twisted_once_per_torsor(monkeypatch):
+    rng = random.Random(71)
+    t = random_torsor(rng, formal(3), BN, 3, 2)
+    fresh = torsor_from_json(torsor_to_json(t))
+    seen = []
+
+    def counting(tt, x):
+        seen.append(x.size)
+        return twist(tt, x)
+
+    monkeypatch.setattr(weyl, "twist", counting)
+    eval_aK(t)
+    eval_aL(t)
+    for d in range(t.n + 1):
+        eval_u(t, d)
+        lift_u(t, d)
+    for d in range(2 * t.n + 1):
+        eval_v_prime(t, d)
+        eval_v(t, d)
+        lift_v_prime(t, d)
+    assert sorted(seen) == [t.n, 2 * t.n]
+    # the cached forms change neither equality, hashing nor JSON
+    assert t == fresh and hash(t) == hash(fresh)
+    assert torsor_from_json(torsor_to_json(t)) == t
+    assert eval_aK(fresh) == eval_aK(t) and eval_aL(fresh) == eval_aL(t)
+    assert len(seen) == 4
+
+
+def test_dn_degree_error_is_raised_on_every_call():
+    n = DEGREE_CAP + 2
+    t = trivial_torsor(Q, DN, n)
+    for _ in range(2):
+        with pytest.raises(errors.DegreeOutOfRange):
+            eval_r(t)
+
+
+def _unrolled_eval_v(t, d):
+    # v_d = v'_d + sum_{i<d} u_{d-i} . v_i, with every term evaluated afresh
+    vs = [coh_unit(t.field)]
+    for k in range(1, d + 1):
+        acc = eval_v_prime(t, k)
+        for i in range(k):
+            if k - i <= t.n:
+                acc = coh_add(acc, cup(eval_u(t, k - i), vs[i]))
+        vs.append(acc)
+    return vs[d]
+
+
+@pytest.mark.parametrize(
+    "field", [Q, formal(3), laurent_q(3)], ids=["q", "formal3", "laurent_q3"]
+)
+def test_eval_v_matches_unrolled_recurrence(field):
+    rng = random.Random(73)
+    for _ in range(4):
+        n = rng.randint(1, 3)
+        t = random_torsor(rng, field, BN, n, rng.randint(1, 2))
+        for d in range(2 * n + 1):
+            assert eval_v(t, d) == _unrolled_eval_v(t, d), (t, d)
+
+
+def test_image_free_bn_trace_form_is_linear_in_n():
+    t = trivial_torsor(Q, BN, 20_000, m=0)
+    t0 = time.perf_counter()
+    assert eval_aK(t).dim == 20_000
+    assert time.perf_counter() - t0 < 1
