@@ -1,9 +1,11 @@
 """Mod-2 Galois cohomology as a symbol algebra.
 
 Classes are F2-sets of symbols whose factors are basis square classes
-(-1 and the primes over Q; -1 and the t_i over the formal backend).  The
-normal form is canonical over the formal backend; over Q vanishing is
-decided semantically (Hilbert symbols in degree 2, the real place above).
+(-1 and the primes over Q; -1 and the t_i over the formal backend).
+``coh_sum`` builds classes from symbols in normal form (``sw`` decodes its
+own masks), which is canonical over the formal, real and finite backends;
+over Q vanishing is decided semantically (Hilbert symbols in degree 2, the
+real place above).
 """
 
 from __future__ import annotations
@@ -67,41 +69,45 @@ def coh_unit(field: FieldDescriptor) -> CohClass:
 
 
 def padded_symbol(field: FieldDescriptor, classes, degree: int) -> Symbol:
-    """Normal-form symbol: the distinct basis classes other than -1 in
-    ``classes``, padded with (-1) up to ``degree`` and sorted."""
-    m1 = minus_one(field)
-    factors = list(classes) + [m1] * (degree - len(classes))
+    """Normal-form symbol: the distinct basis classes ``classes`` (with or
+    without -1, which pads them anyway), padded with (-1) up to ``degree``
+    and sorted."""
+    factors = list(classes)
+    if len(factors) < degree:
+        factors += [minus_one(field)] * (degree - len(factors))
     factors.sort(key=lambda c: c.data)
     return Symbol(field, tuple(factors))
 
 
-def _reduce_symbol(field: FieldDescriptor, factors) -> Symbol:
-    """Apply (a)(a) = (a)(-1) to exhaustion and sort the factors."""
-    return padded_symbol(field, set(factors) - {minus_one(field)}, len(factors))
+def coh_sum(field: FieldDescriptor, degree: int, products) -> CohClass:
+    """The degree-``degree`` class of the sum of the symbols (b_1)...(b_n),
+    one per list of basis classes in ``products``, in normal form:
+    (b)(b) = (b)(-1), padding with (-1), equal symbols cancelling in pairs,
+    and H^n(F_p) = 0 for n >= 2."""
+    if field.kind == fields.FINITE and degree >= 2:
+        return coh_zero(field, degree)
+    symbols: set = set()
+    for bs in products:
+        symbols ^= {padded_symbol(field, set(bs), degree)}
+    return CohClass(field, degree, frozenset(symbols))
 
 
-def _xor(acc: set, sym: Symbol) -> None:
-    if sym in acc:
-        acc.remove(sym)
-    else:
-        acc.add(sym)
+def symbol_sum(field: FieldDescriptor, degree: int, symbols) -> CohClass:
+    """The sum of the symbols (a_1)...(a_n), one per list of field elements
+    in ``symbols``: each is expanded multilinearly over the backend's basis
+    (``basis_factors``) and the products are summed by ``coh_sum``."""
+    try:
+        symbols = [[canonicalize(f, field) for f in factors] for factors in symbols]
+    except ZeroElement as exc:
+        raise ZeroFactor("symbol factor is zero") from exc
+    products = (itertools.product(*map(basis_factors, factors)) for factors in symbols)
+    return coh_sum(field, degree, itertools.chain.from_iterable(products))
 
 
 def symbol_normalize(raw_factors, field: FieldDescriptor) -> CohClass:
-    """Normal form of the symbol (a_1)...(a_n): multilinear expansion over the
-    backend's basis, square relation, sorting."""
-    try:
-        factors = [canonicalize(f, field) for f in raw_factors]
-    except ZeroElement as exc:
-        raise ZeroFactor("symbol factor is zero") from exc
-    degree = len(factors)
-    if field.kind == fields.FINITE and degree >= 2:
-        return coh_zero(field, degree)  # H^n(F_p) = 0 for n >= 2
-    lists = [basis_factors(f) for f in factors]
-    acc: set = set()
-    for combo in itertools.product(*lists):
-        _xor(acc, _reduce_symbol(field, combo))
-    return CohClass(field, degree, frozenset(acc))
+    """Normal form of the symbol (a_1)...(a_n)."""
+    factors = list(raw_factors)
+    return symbol_sum(field, len(factors), [factors])
 
 
 def coh_add(a: CohClass, b: CohClass) -> CohClass:
@@ -115,23 +121,15 @@ def coh_add(a: CohClass, b: CohClass) -> CohClass:
 def cup(a: CohClass, b: CohClass) -> CohClass:
     if a.field != b.field:
         raise BackendMismatch("cohomology classes over different backends")
-    degree = a.degree + b.degree
-    if a.field.kind == fields.FINITE and degree >= 2:
-        return coh_zero(a.field, degree)
-    acc: set = set()
-    for sa in a.symbols:
-        for sb in b.symbols:
-            _xor(acc, _reduce_symbol(a.field, sa.factors + sb.factors))
-    return CohClass(a.field, degree, frozenset(acc))
+    products = (sa.factors + sb.factors for sa in a.symbols for sb in b.symbols)
+    return coh_sum(a.field, a.degree + b.degree, products)
 
 
 def is_zero(c: CohClass) -> bool:
     """Backend-specific vanishing decision."""
     field = c.field
-    if field.kind in (fields.FORMAL, fields.REALS):
+    if field.kind in (fields.FORMAL, fields.REALS, fields.FINITE):
         return c.is_presented_zero()
-    if field.kind == fields.FINITE:
-        return c.degree >= 2 or c.is_presented_zero()
     if field.kind != fields.RATIONALS:
         # Q((t_1))...((t_g)) needs residue classes
         raise UnsupportedBackend(f"is_zero is not implemented over {field}")
@@ -156,11 +154,7 @@ def is_zero(c: CohClass) -> bool:
 
 def e_map(p: PfisterPresentation) -> CohClass:
     """Image of a Pfister combination under e_n: <<a_1,...,a_n>> -> (a_1)...(a_n)."""
-    out = coh_zero(p.field, p.degree)
-    for coeff, gens in p.terms:
-        if coeff % 2:
-            out = coh_add(out, symbol_normalize(gens, p.field))
-    return out
+    return symbol_sum(p.field, p.degree, [gens for coeff, gens in p.terms if coeff % 2])
 
 
 def sw(q: DiagonalForm, d: int) -> CohClass:
@@ -260,10 +254,11 @@ def coh_to_json(c: CohClass):
 
 def coh_from_json(obj, field: FieldDescriptor) -> CohClass:
     obj = fields.json_checked(obj, dict, "coh")
-    out = coh_zero(field, fields.json_checked(obj["degree"], int, "degree"))
+    degree = fields.json_checked(obj["degree"], int, "degree")
+    symbols = []
     for factors in fields.json_checked(obj["symbols"], list, "symbols"):
         factors = fields.json_checked(factors, list, "symbol")
-        out = coh_add(
-            out, symbol_normalize([fields.sq_from_json(f, field) for f in factors], field)
-        )
-    return out
+        symbols.append([fields.sq_from_json(f, field) for f in factors])
+        if len(factors) != degree:
+            raise DegreeOutOfRange(f"symbol of length {len(factors)} in a degree-{degree} class")
+    return symbol_sum(field, degree, symbols)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub, xor
 
 from . import fields
-from .cohomology import CohClass, padded_symbol
+from .cohomology import CohClass, coh_sum
 from .errors import (
     BackendMismatch,
     DegreeOutOfRange,
@@ -71,11 +71,8 @@ def e_extract(w: WittClass, d: int) -> CohClass:
     # signatures by the mask of the negative generators
     masks = _e_masks(signature_vector(w), g, d)
     gens = [fields.generator(field, i) for i in range(g)]
-    symbols = frozenset(
-        padded_symbol(field, [gens[i] for i in range(g) if mask >> (g - 1 - i) & 1], d)
-        for mask in masks
-    )
-    return CohClass(field, d, symbols)
+    products = ([gens[i] for i in range(g) if mask >> (g - 1 - i) & 1] for mask in masks)
+    return coh_sum(field, d, products)
 
 
 @dataclass(frozen=True)
@@ -90,19 +87,15 @@ class EvaluationTable:
         if len(self.samples) != len(self.values):
             raise InvalidInput("one value per sample required")
         d = self.declared_degree
-        sigs = []
-        for w in self.values:
-            if w.field.kind != fields.FORMAL:
-                raise UnsupportedBackend("tables are evaluated over the formal backend")
-            if d < 0:
-                raise DegreeOutOfRange("cap must be >= 0")
-            sigs.append(signature_vector(w))
-            # in I^d iff every signature is divisible by 2^d (filtration_degree)
-            if any(s % (1 << d) for s in sigs[-1]):
-                raise InvalidInput("value below the declared filtration degree")
-        # the value of the cached property below, which a table made without
-        # __post_init__ computes on first use
-        object.__setattr__(self, "signature_vectors", sigs)
+        if any(w.field.kind != fields.FORMAL for w in self.values):
+            raise UnsupportedBackend("tables are evaluated over the formal backend")
+        if self.values and d < 0:
+            raise DegreeOutOfRange("cap must be >= 0")
+        # in I^d iff every signature is divisible by 2^d (filtration_degree)
+        if any(s % (1 << d) for sig in self.signature_vectors for s in sig):
+            raise InvalidInput("value below the declared filtration degree")
+        if len({x.field for x in (*self.samples, *self.values)}) > 1:
+            raise BackendMismatch("a table's samples and values must share one field")
 
     @functools.cached_property
     def signature_vectors(self) -> list[list[int]]:

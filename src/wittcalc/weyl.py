@@ -20,11 +20,10 @@ from .cohomology import (
     CohClass,
     coh_add,
     coh_unit,
-    coh_zero,
     cup,
     sw_mod,
     sw_mod_lift,
-    symbol_normalize,
+    symbol_sum,
 )
 from .errors import (
     BadBackend,
@@ -439,13 +438,8 @@ def specialize_form(q: DiagonalForm, subs) -> DiagonalForm:
 
 def specialize_coh(c: CohClass, subs) -> CohClass:
     """Symbol class over Q((t_1))...((t_g)) specialized factorwise to Q."""
-    out = coh_zero(rationals(), c.degree)
-    for sym in c.symbols:
-        out = coh_add(
-            out,
-            symbol_normalize([specialize_class(f, subs) for f in sym.factors], rationals()),
-        )
-    return out
+    images = [[specialize_class(f, subs) for f in sym.factors] for sym in c.symbols]
+    return symbol_sum(rationals(), c.degree, images)
 
 
 def specialize_torsor(t: MultiquadraticTorsor, subs) -> MultiquadraticTorsor:

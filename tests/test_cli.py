@@ -359,3 +359,24 @@ def test_gram_entries_are_integers_or_rational_strings(capsys, tmp_path):
     assert code == 0
     # -3/4 then 5 - 2 * 2 / (-3/4) = 31/3
     assert json.loads(out)["form"] == [-3, 93]
+
+
+def test_coh_symbol_length_must_match_degree(capsys, tmp_path):
+    payload = {"coh": {"degree": 2, "symbols": [[2]]}}
+    code, out, err = run_json(capsys, ["coh", "is-zero", "--field", "q"], payload, tmp_path)
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "DegreeOutOfRange"
+    assert err["message"] == "symbol of length 1 in a degree-2 class"
+
+
+def test_decompose_refuses_tables_over_two_fields(capsys, tmp_path):
+    rng = random.Random(5)
+    f3, f4 = formal(3), formal(4)
+    t3, t4 = random_torsor(rng, f3, BN, 2, 1), random_torsor(rng, f4, BN, 2, 1)
+    table = table_to_json(EvaluationTable((t3, t3), (lift_u(t3, 1), lift_u(t3, 1)), 1))
+    table["samples"][1] = torsor_to_json(t4)
+    payload = {"target": table, "generators": [table]}
+    code, out, err = run_json(capsys, ["lift", "decompose"], payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BackendMismatch"

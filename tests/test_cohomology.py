@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wittcalc import cohomology, errors, fields
+from wittcalc import cohomology, errors, fields, weyl
 from wittcalc.cohomology import (
     coh_add,
     coh_from_json,
@@ -19,7 +19,7 @@ from wittcalc.cohomology import (
     symbol_normalize,
 )
 from wittcalc.fields import canonicalize, finite_field, formal, laurent_q, rationals
-from wittcalc.sampling import random_form
+from wittcalc.sampling import random_form, random_square_class
 from wittcalc.witt import (
     PfisterPresentation,
     diagonal,
@@ -195,3 +195,148 @@ def test_is_zero_visits_places_in_order(monkeypatch):
         c = coh_add(c, sym(factors))
     assert is_zero(c)
     assert places == [v for v in (2, 5, 7, 13, fields.INF) for _ in c.symbols]
+
+
+def _parent_reduce_symbol(field, factors):
+    """(a)(a) = (a)(-1) to exhaustion, as cohomology._reduce_symbol did it."""
+    return cohomology.padded_symbol(field, set(factors) - {fields.minus_one(field)}, len(factors))
+
+
+def _parent_xor(acc, s):
+    if s in acc:
+        acc.remove(s)
+    else:
+        acc.add(s)
+
+
+def _parent_symbol_normalize(raw_factors, field):
+    """symbol_normalize before coh_sum: per-symbol xor with its own F_p guard."""
+    try:
+        factors = [canonicalize(f, field) for f in raw_factors]
+    except errors.ZeroElement as exc:
+        raise errors.ZeroFactor("symbol factor is zero") from exc
+    degree = len(factors)
+    if field.kind == fields.FINITE and degree >= 2:
+        return coh_zero(field, degree)
+    acc = set()
+    for combo in itertools.product(*[fields.basis_factors(f) for f in factors]):
+        _parent_xor(acc, _parent_reduce_symbol(field, combo))
+    return cohomology.CohClass(field, degree, frozenset(acc))
+
+
+def _parent_cup(a, b):
+    degree = a.degree + b.degree
+    if a.field.kind == fields.FINITE and degree >= 2:
+        return coh_zero(a.field, degree)
+    acc = set()
+    for sa in a.symbols:
+        for sb in b.symbols:
+            _parent_xor(acc, _parent_reduce_symbol(a.field, sa.factors + sb.factors))
+    return cohomology.CohClass(a.field, degree, frozenset(acc))
+
+
+def _parent_e_map(p):
+    out = coh_zero(p.field, p.degree)
+    for coeff, gens in p.terms:
+        if coeff % 2:
+            out = coh_add(out, _parent_symbol_normalize(gens, p.field))
+    return out
+
+
+def _parent_specialize_coh(c, subs):
+    out = coh_zero(Q, c.degree)
+    for s in c.symbols:
+        images = [weyl.specialize_class(f, subs) for f in s.factors]
+        out = coh_add(out, _parent_symbol_normalize(images, Q))
+    return out
+
+
+def _raw_factor(rng, field):
+    """A random class, the class of -1, or one of the raw elements -1, 4 and 1."""
+    if field.kind == fields.LAURENT_Q:
+        r = rng.choice((1, -1)) * rng.randint(1, 30)
+        cls = canonicalize((r, tuple(i for i in range(field.g) if rng.random() < 0.5)), field)
+    else:
+        cls = random_square_class(rng, field, height=30)
+    return rng.choice((cls, cls, fields.minus_one(field), -1, 4, 1))
+
+
+def _raw_symbol(rng, field, degree):
+    factors = [_raw_factor(rng, field) for _ in range(degree)]
+    if degree >= 2 and rng.random() < 0.5:
+        factors[rng.randrange(degree)] = rng.choice(factors)  # a repeated factor
+    return factors
+
+
+def _symbol_sum(rng, field, degree):
+    c = coh_zero(field, degree)
+    for _ in range(rng.randint(0, 3)):
+        c = coh_add(c, symbol_normalize(_raw_symbol(rng, field, degree), field))
+    return c
+
+
+@pytest.mark.parametrize(
+    "field",
+    [rationals(), finite_field(3), finite_field(5), fields.reals(), formal(4), laurent_q(2)],
+    ids=str,
+)
+def test_normal_form_constructor_matches_parent(field):
+    # every class is built by coh_sum; the oracle xors reduced symbols one by
+    # one, with an F_p guard in each routine and a coh_add loop in e_map
+    rng = random.Random(f"coh_sum {field}")
+    has_json = field.kind != fields.LAURENT_Q
+
+    def same(got, want):
+        assert got == want
+        if has_json:
+            assert coh_to_json(got) == coh_to_json(want)
+            assert coh_from_json(coh_to_json(want), field) == want
+
+    for degree in range(5):
+        for _ in range(8):
+            raw = _raw_symbol(rng, field, degree)
+            same(symbol_normalize(raw, field), _parent_symbol_normalize(raw, field))
+    for _ in range(30):
+        a = _symbol_sum(rng, field, rng.randint(0, 3))
+        b = _symbol_sum(rng, field, rng.randint(0, 3))
+        same(cup(a, b), _parent_cup(a, b))
+        same(cup(a, a), _parent_cup(a, a))
+    if field.kind == fields.LAURENT_Q:
+        for subs in [(2, 3), (-1, 5), (4, 6), (-3, -7), (10, 15)]:
+            for degree in range(4):
+                c = _symbol_sum(rng, field, degree)
+                got, want = weyl.specialize_coh(c, subs), _parent_specialize_coh(c, subs)
+                assert got == want and coh_to_json(got) == coh_to_json(want)
+        return
+    m1 = fields.minus_one(field)
+    for degree in range(5):
+        for _ in range(8):
+            terms = tuple(
+                (
+                    rng.choice((-2, -1, 0, 1, 2, 3)),
+                    tuple(canonicalize(f, field) for f in _raw_symbol(rng, field, degree)),
+                )
+                for _ in range(rng.randint(0, 4))
+            )
+            if terms and degree:
+                terms += ((1, (m1,) * degree), terms[0])  # (-1)...(-1), and a repeat
+            p = PfisterPresentation(field, degree, terms)
+            same(e_map(p), _parent_e_map(p))
+
+
+@pytest.mark.parametrize("field", [rationals(), finite_field(5)], ids=str)
+def test_e_map_checks_every_odd_term(field):
+    # also over F_p in degree 2, where the class is 0 whatever the terms
+    other = canonicalize(3, formal(1))
+    with pytest.raises(errors.BadBackend):
+        e_map(PfisterPresentation(field, 2, ((1, (canonicalize(2, field), other)),)))
+    with pytest.raises(errors.ZeroFactor):
+        e_map(PfisterPresentation(field, 2, ((3, (2, 0)),)))
+    assert e_map(PfisterPresentation(field, 2, ((2, (2, 0)),))).is_presented_zero()
+
+
+def test_coh_from_json_checks_symbol_length():
+    with pytest.raises(errors.DegreeOutOfRange, match="symbol of length 1 in a degree-2 class"):
+        coh_from_json({"degree": 2, "symbols": [[2]]}, Q)
+    with pytest.raises(errors.DegreeOutOfRange, match="length 3"):
+        coh_from_json({"degree": 2, "symbols": [[1, 1], [1, 0, 1]]}, finite_field(5))

@@ -407,6 +407,22 @@ def test_table_validation():
         EvaluationTable(samples, (witt_one(big),), 0)
 
 
+def test_table_samples_and_values_share_one_field():
+    # a formal(5) value on a formal(3) sample used to be accepted, and
+    # decompose then failed with a misleading NotInIdealPower
+    rng = random.Random(67)
+    f3, f5 = formal(3), formal(5)
+    s3, s5 = random_torsor(rng, f3, BN, 2, 1), random_torsor(rng, f5, BN, 2, 1)
+    with pytest.raises(errors.BackendMismatch):
+        EvaluationTable((s3,), (lift_u(s5, 1),), 1)
+    with pytest.raises(errors.BackendMismatch):
+        EvaluationTable((s3, s3), (lift_u(s3, 1), lift_u(s5, 1)), 1)
+    with pytest.raises(errors.BackendMismatch):
+        EvaluationTable((s3, s5), (lift_u(s3, 1), lift_u(s3, 1)), 1)
+    tab = EvaluationTable((s3, s3), (lift_u(s3, 1), lift_u(s3, 1)), 1)
+    assert decompose(tab, [tab], n0=1).residual_ok
+
+
 def test_table_signature_vectors_are_computed_once(monkeypatch):
     rng = random.Random(61)
     _, tables = make_tables(rng, ntrials=3, n=1)
