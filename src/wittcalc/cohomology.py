@@ -255,6 +255,8 @@ def coh_to_json(c: CohClass):
 def coh_from_json(obj, field: FieldDescriptor) -> CohClass:
     obj = fields.json_checked(obj, dict, "coh")
     degree = fields.json_checked(obj["degree"], int, "degree")
+    if degree < 0:
+        raise DegreeOutOfRange(f"negative degree {degree}")
     symbols = []
     for factors in fields.json_checked(obj["symbols"], list, "symbols"):
         factors = fields.json_checked(factors, list, "symbol")

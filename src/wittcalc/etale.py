@@ -8,7 +8,6 @@ also allowed over the formal backend, where it is produced by twisting.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,14 +30,6 @@ def poly_trim(c: list[Fraction]) -> list[Fraction]:
 
 def poly_deg(c) -> int:
     return len(c) - 1
-
-
-def poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
 
 
 def poly_mod(a, m):
@@ -197,60 +188,53 @@ def quadratic_pair(base: EtaleAlgebra, raw_deltas) -> QuadraticPair:
 # trace forms
 
 
-def _poly_trace_block(comp: Poly) -> list[list[Fraction]]:
+def _hankel_blocks(comp: Poly, *deltas) -> list[list[list[Fraction]]]:
+    """The pairings (x^a, x^b) -> Tr(x^(a+b) delta) on Q[x]/(f), one n x n
+    block per delta.  Tr(x^k) is the power sum p_k of the roots for every k,
+    k >= deg f included, so Tr(x^k delta) = sum_j delta_j p_(k+j) and nothing
+    is reduced mod f."""
     n = comp.degree
-    p = power_sums(list(comp.coeffs), 2 * n - 1)
-    return [[p[i + j] for j in range(n)] for i in range(n)]
+    p = power_sums(list(comp.coeffs), 2 * n - 1 + max(poly_deg(d) for d in deltas))
+    blocks = []
+    for delta in deltas:
+        h = [sum(c * p[k + j] for j, c in enumerate(delta)) for k in range(2 * n - 1)]
+        blocks.append([h[a : a + n] for a in range(n)])
+    return blocks
+
+
+def _subset_products(one, xs) -> list:
+    """one * prod_{j in S} xs_j for the subsets S, in itertools.product
+    order of their indicator vectors."""
+    out = [one]
+    for x in xs:
+        out = [y for o in out for y in (o, o * x)]
+    return out
 
 
 def _mq_diag_classes(comp: Multiquadratic) -> list[SquareClass]:
     """Diagonal entries 2^r * prod_{j in S} d_j of the multiquadratic trace
     form, as square classes (the 2^r collapses to its parity)."""
     field = comp.field
-    r = len(comp.classes)
-    two = canonicalize(2, field) if r % 2 else fields.trivial_class(field)
-    out = []
-    for mask in itertools.product((0, 1), repeat=r):
-        cls = two
-        for bit, d in zip(mask, comp.classes):
-            if bit:
-                cls = cls * d
-        out.append(cls)
-    return out
+    two = canonicalize(2, field) if len(comp.classes) % 2 else fields.trivial_class(field)
+    return _subset_products(two, comp.classes)
 
 
 def trace_gram(e: EtaleAlgebra) -> GramMatrix:
     """Block-diagonal Gram matrix of (x, y) -> Tr(xy) on the standard bases."""
     if e.field.kind != fields.RATIONALS:
         raise UnsupportedBackend("explicit Gram matrices are rational-only")
-    blocks: list[list[list[Fraction]]] = []
+    m = [[Fraction(0)] * e.degree for _ in range(e.degree)]
+    off = 0
     for comp in e.components:
         if isinstance(comp, Poly):
-            blocks.append(_poly_trace_block(comp))
+            (block,) = _hankel_blocks(comp, (1,))
+            for i, row in enumerate(block):
+                m[off + i][off : off + comp.degree] = row
         else:
-            r = len(comp.classes)
-            scale = Fraction(2**r)
-            diag = []
-            for mask in itertools.product((0, 1), repeat=r):
-                v = scale
-                for bit, d in zip(mask, comp.classes):
-                    if bit:
-                        v *= d.data
-                diag.append(v)
-            blocks.append(
-                [
-                    [diag[i] if i == j else Fraction(0) for j in range(len(diag))]
-                    for i in range(len(diag))
-                ]
-            )
-    n = sum(len(b) for b in blocks)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                m[off + i][off + j] = v
-        off += len(b)
+            diag = _subset_products(Fraction(comp.degree), [d.data for d in comp.classes])
+            for i, v in enumerate(diag):
+                m[off + i][off + i] = v
+        off += comp.degree
     return gram(e.field, m)
 
 
@@ -259,17 +243,11 @@ def trace_form(e: EtaleAlgebra) -> DiagonalForm:
     entries: list[SquareClass] = []
     for comp in e.components:
         if isinstance(comp, Poly):
-            block = gram(e.field, _poly_trace_block(comp))
-            entries.extend(diagonalize(block).entries)
+            (block,) = _hankel_blocks(comp, (1,))
+            entries.extend(diagonalize(gram(e.field, block)).entries)
         else:
             entries.extend(_mq_diag_classes(comp))
     return DiagonalForm(e.field, tuple(entries))
-
-
-def _tr_element(f, g, p) -> Fraction:
-    """Trace of multiplication by g on Q[x]/(f); p = power sums of f."""
-    g = poly_mod(list(g), list(f))
-    return sum((c * p[i] for i, c in enumerate(g)), Fraction(0))
 
 
 def quadratic_layer_trace_form(pair: QuadraticPair) -> DiagonalForm:
@@ -280,18 +258,7 @@ def quadratic_layer_trace_form(pair: QuadraticPair) -> DiagonalForm:
     """
     entries: list[SquareClass] = []
     for comp, delta in zip(pair.base.components, pair.deltas):
-        f = list(comp.coeffs)
-        n = comp.degree
-        p = power_sums(f, 2 * n - 1 + max(0, poly_deg(list(delta))))
-        even = [[2 * p[a + b] for b in range(n)] for a in range(n)]
-        odd = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                mono = [Fraction(0)] * (a + b) + [Fraction(1)]
-                row.append(2 * _tr_element(f, poly_mul(mono, list(delta)), p))
-            odd.append(row)
-        for block in (even, odd):
+        for block in _hankel_blocks(comp, (2,), [2 * c for c in delta]):
             entries.extend(diagonalize(gram(pair.base.field, block)).entries)
     return DiagonalForm(pair.base.field, tuple(entries))
 

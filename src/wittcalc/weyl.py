@@ -118,26 +118,27 @@ def rho2(a: WreathElement) -> tuple[int, ...]:
     return tuple(out)
 
 
-def even_vectors(n: int) -> list[tuple[int, ...]]:
-    return [v for v in itertools.product((0, 1), repeat=n) if sum(v) % 2 == 0]
-
-
 def dn_coset_action(n: int, a: WreathElement) -> tuple[int, ...]:
     """Action on the 2^{n-1} index-2-subgroup cosets, indexed by even-weight
-    sign vectors: v -> sigma(v + w) with w the flip indicator."""
+    sign vectors: v -> sigma(v + w) with w the flip indicator.
+
+    A vector is an int mask with coordinate j on bit n-1-j, so the masks in
+    increasing order are the vectors in itertools.product order; of the
+    masks 2k and 2k+1 exactly one has even weight, and it is coset k + 1."""
     if a.n != n:
         raise SizeMismatch("element degree does not match n")
     if len(a.flips) % 2:
         raise NotInDn("odd flip set is not in the index-2 subgroup")
-    vecs = even_vectors(n)
-    index = {v: i + 1 for i, v in enumerate(vecs)}
-    w = tuple(1 if i + 1 in a.flips else 0 for i in range(n))
-    pinv = perm_inv(a.perm)
+    w = sum(1 << (n - i) for i in a.flips)
+    # coordinate j of sigma(v) is coordinate pinv[j] - 1 of v, on bit n - pinv[j]
+    src = [n - i for i in perm_inv(a.perm)]
     out = []
-    for v in vecs:
-        shifted = tuple((x + y) % 2 for x, y in zip(v, w))
-        permuted = tuple(shifted[pinv[j] - 1] for j in range(n))
-        out.append(index[permuted])
+    for k in range(2 ** (n - 1)):
+        v = (2 * k + k.bit_count() % 2) ^ w
+        image = 0
+        for b in src:
+            image = image << 1 | v >> b & 1
+        out.append(image // 2 + 1)
     return tuple(out)
 
 
@@ -165,14 +166,11 @@ class MultiquadraticTorsor:
         if not fields.f2_independent(self.d):
             raise InvalidInput("square classes are not F2-independent")
         if self.field.kind in fields.TOWERS:
-            gens = set()
+            # independent classes are distinct, so each need only be a generator
             for c in self.d:
                 gs = c.data[1]
                 if len(gs) != 1 or c != fields.generator(self.field, gs[0]):
                     raise InvalidInput("formal torsor classes must be distinct generators")
-                gens.update(gs)
-            if len(gens) != len(self.d):
-                raise InvalidInput("formal torsor classes must be distinct generators")
         for g in self.images:
             if g.n != n:
                 raise SizeMismatch("image degree does not match target")
@@ -248,22 +246,9 @@ def gset_rho2(t: MultiquadraticTorsor) -> GSet:
 
 def gset_dn(t: MultiquadraticTorsor) -> GSet:
     if t.n - 1 > DEGREE_CAP:
-        # refused before even_vectors(n) or any list of the cosets exists
+        # refused before dn_coset_action walks the 2^(n-1) coset masks
         raise DegreeOutOfRange(f"D_{t.n} has 2^{t.n - 1} cosets; at most 2^{DEGREE_CAP}")
     return GSet(2 ** (t.n - 1), tuple(dn_coset_action(t.n, g) for g in t.images))
-
-
-def _orbit(x: GSet, start: int) -> frozenset:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        pt = frontier.pop()
-        for p in x.perms:
-            nxt = p[pt - 1]
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
 
 
 def twist(t: MultiquadraticTorsor, x: GSet) -> EtaleAlgebra:
@@ -276,18 +261,20 @@ def twist(t: MultiquadraticTorsor, x: GSet) -> EtaleAlgebra:
     # generator subsets as bitmasks, generator i on bit m-1-i, so that rows
     # pivot on their lowest generator
     bits = [1 << (m - 1 - i) for i in range(m)]
+    # the orbit of a point under commuting involutions is {eps . point}, so
+    # the walk over eps that finds the stabilizer also marks the orbit
     seen: set[int] = set()
     components = []
     for start in range(1, x.size + 1):
         if start in seen:
             continue
-        seen |= _orbit(x, start)
         stab = []
         for eps in range(2**m):
             pt = start
             for i, bit in enumerate(bits):
                 if eps & bit:
                     pt = x.perms[i][pt - 1]
+            seen.add(pt)
             if pt == start:
                 stab.append(eps)
         perp = [

@@ -139,6 +139,8 @@ class PfisterPresentation:
     terms: tuple[tuple[int, tuple[SquareClass, ...]], ...]
 
     def __post_init__(self) -> None:
+        if self.degree < 0:
+            raise DegreeOutOfRange(f"negative degree {self.degree}")
         for _, gens in self.terms:
             if len(gens) != self.degree:
                 raise DegreeOutOfRange("pfister term of wrong degree")

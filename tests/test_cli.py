@@ -380,3 +380,17 @@ def test_decompose_refuses_tables_over_two_fields(capsys, tmp_path):
     code, out, err = run_json(capsys, ["lift", "decompose"], payload, tmp_path)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BackendMismatch"
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["coh", "cup", "--field", "q"], {"a": {"degree": -3, "symbols": []}, "b": {"degree": 1, "symbols": [[2]]}}),
+        (["coh", "is-zero"], {"coh": {"degree": -1, "symbols": []}}),
+        (["coh", "e-map"], {"pfister": {"degree": -1, "terms": []}}),
+    ],
+)
+def test_negative_degrees_are_refused(capsys, tmp_path, argv, payload):
+    code, out, err = run_json(capsys, argv, payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DegreeOutOfRange"

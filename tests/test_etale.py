@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 
 import numpy as np
@@ -5,10 +7,11 @@ import pytest
 import sympy
 from fractions import Fraction
 
-from wittcalc import errors
+from wittcalc import errors, fields
 from wittcalc.etale import (
     EtaleAlgebra,
     Multiquadratic,
+    Poly,
     etale,
     etale_from_json,
     etale_to_json,
@@ -16,6 +19,8 @@ from wittcalc.etale import (
     pair_from_json,
     pair_to_json,
     poly_component,
+    poly_mod,
+    poly_trim,
     power_sums,
     quadratic_layer_trace_form,
     quadratic_pair,
@@ -23,7 +28,7 @@ from wittcalc.etale import (
     trace_gram,
 )
 from wittcalc.fields import canonicalize, formal, rationals
-from wittcalc.witt import from_diagonal, gram, witt_eq
+from wittcalc.witt import DiagonalForm, diagonalize, from_diagonal, gram, witt_eq
 
 Q = rationals()
 
@@ -160,3 +165,180 @@ def test_prime_cofactor_trace_form_budget():
     t0 = time.perf_counter()
     assert trace_form(alg) == first
     assert time.perf_counter() - t0 < 0.020
+
+
+# ---------------------------------------------------------------------------
+# trace forms as they were written before the Hankel pairing: each trace
+# reduced mod f, and Gram blocks built densely and then copied, kept as oracles
+
+
+def _parent_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def _parent_tr_element(f, g, p):
+    g = poly_mod(list(g), list(f))
+    return sum((c * p[i] for i, c in enumerate(g)), Fraction(0))
+
+
+def _parent_poly_trace_block(comp):
+    n = comp.degree
+    p = power_sums(list(comp.coeffs), 2 * n - 1)
+    return [[p[i + j] for j in range(n)] for i in range(n)]
+
+
+def _parent_mq_diag(comp, scale, value):
+    out = []
+    for mask in itertools.product((0, 1), repeat=len(comp.classes)):
+        v = scale
+        for bit, d in zip(mask, comp.classes):
+            if bit:
+                v = v * value(d)
+        out.append(v)
+    return out
+
+
+def _parent_trace_gram(e):
+    blocks = []
+    for comp in e.components:
+        if isinstance(comp, Poly):
+            blocks.append(_parent_poly_trace_block(comp))
+        else:
+            diag = _parent_mq_diag(comp, Fraction(comp.degree), lambda d: d.data)
+            blocks.append(
+                [[diag[i] if i == j else Fraction(0) for j in range(len(diag))] for i in range(len(diag))]
+            )
+    n = sum(len(b) for b in blocks)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                m[off + i][off + j] = v
+        off += len(b)
+    return gram(e.field, m)
+
+
+def _parent_trace_form(e):
+    entries = []
+    for comp in e.components:
+        if isinstance(comp, Poly):
+            entries.extend(diagonalize(gram(e.field, _parent_poly_trace_block(comp))).entries)
+        else:
+            two = canonicalize(2 if len(comp.classes) % 2 else 1, e.field)
+            entries.extend(_parent_mq_diag(comp, two, lambda d: d))
+    return DiagonalForm(e.field, tuple(entries))
+
+
+def _parent_quadratic_layer_trace_form(pair):
+    entries = []
+    for comp, delta in zip(pair.base.components, pair.deltas):
+        f = list(comp.coeffs)
+        n = comp.degree
+        p = power_sums(f, 2 * n - 1 + max(0, len(delta) - 1))
+        even = [[2 * p[a + b] for b in range(n)] for a in range(n)]
+        odd = []
+        for a in range(n):
+            row = []
+            for b in range(n):
+                mono = [Fraction(0)] * (a + b) + [Fraction(1)]
+                row.append(2 * _parent_tr_element(f, _parent_poly_mul(mono, list(delta)), p))
+            odd.append(row)
+        for block in (even, odd):
+            entries.extend(diagonalize(gram(pair.base.field, block)).entries)
+    return DiagonalForm(pair.base.field, tuple(entries))
+
+
+def _random_poly(rng, max_degree=4, height=5):
+    """A monic squarefree polynomial, constant coefficient first."""
+    while True:
+        coeffs = [rng.randint(-height, height) for _ in range(rng.randint(1, max_degree))] + [1]
+        try:
+            return poly_component(coeffs)
+        except errors.InvalidInput:
+            continue
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the error it raised (the factor bound can
+    fire inside diagonalize on either side)."""
+    try:
+        return fn(*args)
+    except errors.WittCalcError as exc:
+        return type(exc)
+
+
+def test_quadratic_layer_matches_parent():
+    rng = random.Random("quadratic layer")
+    checked = wide = padded = answered = 0
+    while checked < 150:
+        comps = [_random_poly(rng) for _ in range(rng.randint(1, 2))]
+        deltas = []
+        for comp in comps:
+            delta = [rng.choice((Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+                     for _ in range(rng.randint(1, comp.degree + 2))]
+            if rng.random() < 0.25:
+                delta += [0] * rng.randint(1, 2)  # trailing zeros
+            deltas.append(delta)
+        try:
+            pair = quadratic_pair(etale(comps), deltas)
+        except errors.InvalidInput:
+            continue  # a delta that is not a unit
+        checked += 1
+        wide += any(len(poly_trim(list(d))) > c.degree for c, d in zip(comps, deltas))
+        padded += any(d[-1] == 0 for d in deltas)
+        got = _outcome(quadratic_layer_trace_form, pair)
+        assert got == _outcome(_parent_quadratic_layer_trace_form, pair), pair
+        answered += isinstance(got, DiagonalForm)
+    assert wide and padded and answered > 100
+
+
+def test_trace_gram_and_form_match_parent():
+    rng = random.Random("trace gram")
+    for _ in range(80):
+        comps = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                comps.append(_random_poly(rng))
+            else:
+                classes = []
+                for c in rng.sample((-1, 2, 3, 5, -7, 6, 10, Fraction(1, 3)), rng.randint(0, 3)):
+                    if fields.f2_independent([canonicalize(x, Q) for x in classes + [c]]):
+                        classes.append(c)
+                comps.append(multiquadratic(classes))
+        e = etale(comps)
+        assert trace_gram(e) == _parent_trace_gram(e), e
+        assert _outcome(trace_form, e) == _outcome(_parent_trace_form, e), e
+
+
+def test_quadratic_layer_matches_primitive_element_trace_form():
+    # L = K[y]/(y^2 - delta) over K = Q[x]/(f): the roots of
+    # chi(y) = Res_x(f(x), y^2 - delta(x)) are the +-sqrt(delta(alpha)), so when
+    # chi is squarefree y is a primitive element, L = Q[y]/(chi), and the two
+    # trace forms are isometric; deg f <= 3 keeps chi within DEGREE_CAP
+    x, y = sympy.symbols("x y")
+    rng = random.Random("quadratic layer by resultant")
+    checked = 0
+    for _ in range(300):
+        fc = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1]
+        dc = [rng.randint(-3, 3) for _ in range(rng.randint(1, len(fc) - 1))]
+        try:
+            pair = quadratic_pair(etale([poly_component(fc)]), [dc])
+        except errors.InvalidInput:
+            continue  # f is not squarefree, or delta is not a unit
+        f = sum(c * x**i for i, c in enumerate(fc))
+        delta = sum(c * x**i for i, c in enumerate(dc))
+        chi = sympy.Poly(sympy.resultant(f, y**2 - delta, x), y).monic()
+        if chi.gcd(chi.diff(y)).degree() > 0:
+            continue  # y is not a primitive element
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(chi.all_coeffs())]
+        want = trace_form(etale([poly_component(coeffs)]))
+        got = quadratic_layer_trace_form(pair)
+        assert got.dim == want.dim == 2 * (len(fc) - 1)
+        assert witt_eq(from_diagonal(got), from_diagonal(want)), (fc, dc)
+        checked += 1
+    assert checked >= 120

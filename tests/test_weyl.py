@@ -1,11 +1,12 @@
+import itertools
 import random
 import time
 
 import pytest
 
-from wittcalc import errors, weyl
+from wittcalc import errors, fields, weyl
 from wittcalc.cohomology import coh_add, coh_unit, cup, is_zero
-from wittcalc.etale import DEGREE_CAP, Multiquadratic
+from wittcalc.etale import DEGREE_CAP, EtaleAlgebra, Multiquadratic
 from wittcalc.fields import canonicalize, formal, laurent_q, rationals
 from wittcalc.sampling import (
     random_commuting_involutions,
@@ -366,3 +367,96 @@ def test_image_free_bn_trace_form_is_linear_in_n():
     t0 = time.perf_counter()
     assert eval_aK(t).dim == 20_000
     assert time.perf_counter() - t0 < 1
+
+
+# ---------------------------------------------------------------------------
+# the coset action and twist as they were written before the int-mask cosets
+# and the orbit-marking stabilizer walk, kept as oracles
+
+
+def _parent_dn_coset_action(n, a):
+    vecs = [v for v in itertools.product((0, 1), repeat=n) if sum(v) % 2 == 0]
+    index = {v: i + 1 for i, v in enumerate(vecs)}
+    w = tuple(1 if i + 1 in a.flips else 0 for i in range(n))
+    pinv = weyl.perm_inv(a.perm)
+    out = []
+    for v in vecs:
+        shifted = tuple((x + y) % 2 for x, y in zip(v, w))
+        permuted = tuple(shifted[pinv[j] - 1] for j in range(n))
+        out.append(index[permuted])
+    return tuple(out)
+
+
+def _parent_orbit(x, start):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        pt = frontier.pop()
+        for p in x.perms:
+            nxt = p[pt - 1]
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def _parent_twist(t, x):
+    m = t.rank
+    bits = [1 << (m - 1 - i) for i in range(m)]
+    seen = set()
+    components = []
+    for start in range(1, x.size + 1):
+        if start in seen:
+            continue
+        seen |= _parent_orbit(x, start)
+        stab = []
+        for eps in range(2**m):
+            pt = start
+            for i, bit in enumerate(bits):
+                if eps & bit:
+                    pt = x.perms[i][pt - 1]
+            if pt == start:
+                stab.append(eps)
+        perp = [
+            delta
+            for delta in range(2**m)
+            if all((delta & eps).bit_count() % 2 == 0 for eps in stab)
+        ]
+        classes = []
+        for delta in fields.f2_reduce(perp):
+            cls = fields.trivial_class(t.field)
+            for i, bit in enumerate(bits):
+                if delta & bit:
+                    cls = cls * t.d[i]
+            classes.append(cls)
+        components.append(Multiquadratic(t.field, tuple(classes)))
+    return EtaleAlgebra(t.field, tuple(components))
+
+
+def test_dn_coset_action_matches_parent():
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for flips in itertools.product((0, 1), repeat=n):
+                if sum(flips) % 2 == 0:
+                    a = wreath(n, perm, [i + 1 for i, f in enumerate(flips) if f])
+                    assert dn_coset_action(n, a) == _parent_dn_coset_action(n, a), a
+    rng = random.Random("dn cosets at n = 8")
+    for _ in range(40):
+        a = rand_wreath(rng, 8)
+        if len(a.flips) % 2:
+            a = wreath(8, a.perm, a.flips ^ {rng.randint(1, 8)})
+        assert dn_coset_action(8, a) == _parent_dn_coset_action(8, a), a
+
+
+@pytest.mark.parametrize(
+    "field", [Q, formal(4), laurent_q(3)], ids=["q", "formal4", "laurent_q3"]
+)
+def test_twist_matches_parent(field):
+    rng = random.Random(f"twist {field}")
+    for _ in range(30):
+        kind = rng.choice((SN, BN, DN))
+        n = rng.randint(1, 5)
+        t = random_torsor(rng, field, kind, n, rng.randint(0, 3))
+        gsets = [gset_rho(t), gset_rho2(t)] + ([weyl.gset_dn(t)] if kind == DN else [])
+        for x in gsets:
+            assert twist(t, x) == _parent_twist(t, x), (t, x.size)
