@@ -297,11 +297,11 @@ def minus_one(field: FieldDescriptor) -> SquareClass:
 
 def generator(field: FieldDescriptor, i: int) -> SquareClass:
     """Square class of the Laurent variable t_{i+1} of a tower."""
-    if field.kind == FORMAL:
-        return canonicalize((False, (i,)), field)
-    if field.kind == LAURENT_Q:
-        return canonicalize((1, (i,)), field)
-    raise BadBackend(f"{field} has no Laurent generators")
+    if field.kind not in TOWERS:
+        raise BadBackend(f"{field} has no Laurent generators")
+    if not 0 <= i < field.g:
+        raise BadBackend(f"generator index out of range for {field}")
+    return SquareClass(field, (False if field.kind == FORMAL else 1, (i,)))
 
 
 def _squarefree_mul(a: int, b: int) -> int:

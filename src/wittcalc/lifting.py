@@ -4,8 +4,8 @@ decomposition of a Witt-valued evaluation table over its generators.
 Over R((t_1))...((t_g)) the total signature at the 2^g orderings determines
 a Witt class; for a class in the d-th power of the fundamental ideal the
 function (ordering -> signature / 2^d mod 2) is a polynomial of degree <= d
-in the indicators x_i = [t_i < 0], and its subset zeta transform reads off
-the degree-d cohomological image symbol by symbol.
+in the indicators x_i = [t_i < 0], whose coefficients C_T / 2^(d-|T|) mod 2
+(witt._superset_sums) give the degree-d cohomological image symbol by symbol.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
 from .weyl import MultiquadraticTorsor, torsor_from_json, torsor_to_json
 from .witt import (
     WittClass,
+    _superset_sums,
     pfister,
     signature_vector,
     witt_add,
@@ -42,8 +43,8 @@ from .witt import (
 
 
 def _e_masks(sigs: list[int], g: int, d: int) -> list[int]:
-    """Generator masks (generator i on bit g-1-i) of the symbols of the
-    degree-d image of the class with signature vector ``sigs``."""
+    """Generator masks (generator i on bit g-1-i) of the degree-d image of the
+    class with signature vector ``sigs`` (decompose's residuals; the raises)."""
     if d < 0:
         raise DegreeOutOfRange(f"e-map degree {d} out of range")
     scale = 2**d
@@ -62,16 +63,23 @@ def _e_masks(sigs: list[int], g: int, d: int) -> list[int]:
     return masks
 
 
+def _image_masks(w: WittClass, d: int) -> list[int]:
+    """_e_masks of a class, from its superset sums: T iff C_T / 2^(d-|T|) is
+    odd; a negative d or a class outside I^d goes to _e_masks, which raises."""
+    sums = _superset_sums(w, d)  # refuses g above the ordering cap first
+    if d < 0 or any(c % (1 << (d - t.bit_count())) for t, c in sums.items()):
+        return _e_masks(signature_vector(w), w.field.g, d)
+    return [t for t, c in sums.items() if c >> (d - t.bit_count()) & 1]
+
+
 def e_extract(w: WittClass, d: int) -> CohClass:
     """Degree-d cohomological image of a class in I^d over the formal backend."""
     field = w.field
     if field.kind != fields.FORMAL:
         raise UnsupportedBackend("signature interpolation needs the formal backend")
     g = field.g
-    # signatures by the mask of the negative generators
-    masks = _e_masks(signature_vector(w), g, d)
     gens = [fields.generator(field, i) for i in range(g)]
-    products = ([gens[i] for i in range(g) if mask >> (g - 1 - i) & 1] for mask in masks)
+    products = ([gens[i] for i in range(g) if m >> (g - 1 - i) & 1] for m in _image_masks(w, d))
     return coh_sum(field, d, products)
 
 
@@ -91,8 +99,9 @@ class EvaluationTable:
             raise UnsupportedBackend("tables are evaluated over the formal backend")
         if self.values and d < 0:
             raise DegreeOutOfRange("cap must be >= 0")
-        # in I^d iff every signature is divisible by 2^d (filtration_degree)
-        if any(s % (1 << d) for sig in self.signature_vectors for s in sig):
+        # in I^d iff no signature has one of its low d bits set
+        low = (1 << max(d, 0)) - 1
+        if any(map(low.__and__, itertools.chain.from_iterable(self.signature_vectors))):
             raise InvalidInput("value below the declared filtration degree")
         if len({x.field for x in (*self.samples, *self.values)}) > 1:
             raise BackendMismatch("a table's samples and values must share one field")
@@ -146,11 +155,9 @@ def decompose(
         if tab.declared_degree > n0:
             raise InvalidInput("generator degree exceeds n0")
     g = field.g
-    fields.orderings(field)  # refuses g above the cap before any work
     residual = target.signature_vectors
-    gen_sigs = [tab.signature_vectors for tab in generators]
-    # each generator's e-images at its declared degree, read when a degree
-    # first needs that generator
+    # each generator's e-images at its declared degree, read from its values
+    # when a degree first needs that generator
     gen_masks: list = [None] * len(generators)
     coeffs = [witt_zero(field) for _ in generators]
     gens = [fields.generator(field, j) for j in range(g)]
@@ -178,7 +185,7 @@ def decompose(
             if m > n:
                 continue
             if gen_masks[i] is None:
-                gen_masks[i] = [_e_masks(sig, g, m) for sig in gen_sigs[i]]
+                gen_masks[i] = [_image_masks(w, m) for w in tab.values]
             for b in basis:
                 if b.bit_count() > n - m:
                     continue
@@ -208,7 +215,7 @@ def decompose(
             # +q and -q have the same mod-2 image; pick the sign that
             # shrinks the signature profile of the residual, +q on a tie
             sq = signature_vector(q)
-            prods = [list(map(mul, sq, sig)) for sig in gen_sigs[i]]
+            prods = [list(map(mul, sq, sig)) for sig in generators[i].signature_vectors]
             plus = sum(sum(map(abs, map(sub, rs, ps))) for rs, ps in zip(residual, prods))
             minus = sum(sum(map(abs, map(add, rs, ps))) for rs, ps in zip(residual, prods))
             op = add if minus < plus else sub

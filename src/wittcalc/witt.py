@@ -9,7 +9,6 @@ there is a decision procedure built on Hasse-Minkowski invariants.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -299,6 +298,16 @@ def total_signature(a: WittClass, ordering: tuple[int, ...]) -> int:
     return sum(k * signature_at(cls, ordering) for cls, k in a.terms)
 
 
+def _signed_masks(a: WittClass) -> list[tuple[int, int]]:
+    """(generator mask, coefficient) of each term, generator i on bit g-1-i
+    and <-x> as -<x>; the reals count as formal(0)."""
+    g, out = a.field.g, []
+    for cls, k in a.terms:
+        neg, gens = cls.data if a.field.kind == fields.FORMAL else (cls.data < 0, ())
+        out.append((sum(1 << (g - 1 - i) for i in gens), -k if neg else k))
+    return out
+
+
 def signature_vector(a: WittClass) -> list[int]:
     """Signatures of the class at every ordering, listed as fields.orderings
     lists them: the Walsh-Hadamard transform of its coefficients indexed by
@@ -306,13 +315,10 @@ def signature_vector(a: WittClass) -> list[int]:
     if a.field.kind not in (fields.REALS, fields.FORMAL):
         raise UnsupportedBackend("signatures need the reals or formal backend")
     orderings(a.field)  # raises OrderingLimitExceeded before 2^g slots exist
-    if a.field.kind == fields.REALS:
-        return [sum(k * cls.data for cls, k in a.terms)]
     g = a.field.g
     f = [0] * (1 << g)
-    for cls, k in a.terms:
-        neg, gens = cls.data
-        f[sum(1 << (g - 1 - i) for i in gens)] += -k if neg else k
+    for s, c in _signed_masks(a):
+        f[s] += c
     # constant-geometry butterflies: a pass combines the entries that differ
     # in bit 0 and rotates the index right, so g passes restore the bit order
     for _ in range(g):
@@ -328,14 +334,41 @@ def signatures(a: WittClass) -> dict[tuple[int, ...], int]:
     return dict(zip(orderings(a.field), sigs))
 
 
+def _superset_sums(a: WittClass, k: int) -> dict[int, int]:
+    """The nonzero C_T = sum of the coefficients c_S over S containing T
+    (_signed_masks), |T| <= k.  The signature with the generators of x negative
+    is sum_{T in x} (-2)^|T| C_T: a is in I^d iff 2^(d-|T|) | C_T for |T| < d.
+    Subsets are enumerated until they number over g 2^g, then transformed."""
+    orderings(a.field)  # raises OrderingLimitExceeded above the cap
+    g, k = a.field.g, min(k, a.field.g)
+    terms = _signed_masks(a)
+    acc, budget = {}, g << g
+    for s, c in terms:
+        subsets = [0]  # those of s with at most k bits
+        for b in [1 << j for j in range(g) if s >> j & 1]:
+            subsets += [t | b for t in subsets if t.bit_count() < k]
+        budget -= len(subsets)
+        if budget < 0:
+            f = [0] * (1 << g)
+            for m, v in terms:
+                f[m] += v
+            for _ in range(g):  # constant geometry: f[T] += f[T | 1], rotate right
+                ev, od = f[0::2], f[1::2]
+                f = list(map(add, ev, od)) + od
+            return {t: c for t, c in enumerate(f) if c and t.bit_count() <= k}
+        for t in subsets:
+            acc[t] = acc.get(t, 0) + c
+    return {t: c for t, c in acc.items() if c and t.bit_count() <= k}
+
+
 def filtration_degree(a: WittClass, cap: int) -> int:
-    """Largest d <= cap with a in I^d, via 2-divisibility of all signatures."""
+    """Largest d <= cap with a in I^d: min |T| + v_2(C_T) over _superset_sums."""
     if a.field.kind not in (fields.REALS, fields.FORMAL):
         raise UnsupportedBackend("filtration degree needs the reals or formal backend")
     if cap < 0:
         raise DegreeOutOfRange("cap must be >= 0")
-    n = math.gcd(*signature_vector(a))
-    return cap if n == 0 else min(cap, (n & -n).bit_length() - 1)
+    sums = _superset_sums(a, cap - 1).items()
+    return min([cap] + [t.bit_count() + (c & -c).bit_length() - 1 for t, c in sums])
 
 
 def virtual_rank(a: WittClass) -> int:

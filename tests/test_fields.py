@@ -312,3 +312,26 @@ def test_f2_reduce_matches_reference_elimination():
                 rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows) ^ rng.choice(rows))
         assert fields.f2_reduce(rows) == _reference_f2_reduce(rows), rows
         assert fields.f2_reduce(iter(rows)) == _reference_f2_reduce(rows)
+
+
+def test_generator_is_built_from_its_canonical_payload(monkeypatch):
+    towers = (formal(0), formal(1), formal(5), laurent_q(3))
+    want = {
+        f: [canonicalize((False if f.kind == fields.FORMAL else 1, (i,)), f) for i in range(f.g)]
+        for f in towers
+    }
+
+    def refuse(*args):
+        raise AssertionError("generator canonicalized its payload")
+
+    monkeypatch.setattr(fields, "canonicalize", refuse)
+    for f in towers:
+        assert [fields.generator(f, i) for i in range(f.g)] == want[f]
+        for i in (-1, f.g):
+            with pytest.raises(errors.BadBackend) as exc:
+                fields.generator(f, i)
+            assert str(exc.value) == f"generator index out of range for {f}"
+    for f in (rationals(), reals(), finite_field(5)):
+        with pytest.raises(errors.BadBackend) as exc:
+            fields.generator(f, 0)
+        assert str(exc.value) == f"{f} has no Laurent generators"

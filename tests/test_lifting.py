@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -451,3 +452,109 @@ def test_table_json_roundtrip():
     for tab in tables:
         back = table_from_json(table_to_json(tab))
         assert back == tab
+
+
+def _ideal_power_class(rng, g, d):
+    """A class of formal(g) in I^d: a sum of 2^e times (d-e)-fold Pfister
+    forms, plus, for about a third of the draws, 2^d times random
+    coefficients on every generator mask (some payloads carrying the sign)."""
+    f = formal(g)
+    w = witt_zero(f)
+    for _ in range(rng.randint(0, 4)):
+        e = rng.randint(0, d)
+        alphas = [random_square_class(rng, f) for _ in range(d - e)]
+        w = witt_add(w, witt_int_scale(rng.choice((1, -1, 3)) << e, pfister(f, alphas)))
+    if rng.random() < 0.35:
+        masks = itertools.chain.from_iterable(
+            itertools.combinations(range(g), j) for j in range(g + 1)
+        )
+        dense = [
+            (fields.SquareClass(f, (rng.random() < 0.2, gens)), rng.randint(-3, 3) << d)
+            for gens in masks
+        ]
+        w = witt.WittClass(f, w.terms + tuple((c, k) for c, k in dense if k))
+    return w
+
+
+def _enumerates(w, d):
+    """Whether witt._superset_sums enumerates subsets (not transforms) for w."""
+    g, k = w.field.g, min(d, w.field.g)
+    count = sum(
+        sum(math.comb(len(cls.data[1]), j) for j in range(k + 1)) for cls, _ in w.terms
+    )
+    return count <= g << g
+
+
+def test_image_masks_match_signature_masks_on_both_branches():
+    # the degree-d image read from the superset sums equals the one read from
+    # the 2^g signatures by the F2 zeta transform, on either side of the switch
+    rng = random.Random(1729)
+    branches = {True: 0, False: 0}
+    for _ in range(3000):
+        g, d = rng.randint(0, 8), rng.randint(0, 4)
+        w = _ideal_power_class(rng, g, d)
+        want = lifting._e_masks(signature_vector(w), g, d)
+        assert sorted(lifting._image_masks(w, d)) == want
+        branches[_enumerates(w, d)] += 1
+    assert min(branches.values()) >= 300
+
+
+E_EXTRACT_BUDGET_S = 1.0  # one call at the ordering cap, g = 20
+
+
+def test_e_extract_at_the_ordering_cap_within_budget():
+    # 0.5-1.5 s when e_extract transformed the 2^20 signatures twice
+    f = formal(fields.MAX_ORDERING_GENERATORS)
+    for n in (1, 3):
+        alphas = tuple(gen(f, i) for i in range(n))
+        w = pfister(f, alphas)
+        t0 = time.perf_counter()
+        image = e_extract(w, n)
+        assert time.perf_counter() - t0 < E_EXTRACT_BUDGET_S
+        assert image == e_map(witt.PfisterPresentation(f, n, ((1, alphas),)))
+
+
+def test_e_extract_raises_in_the_same_order_with_the_same_text():
+    big = formal(fields.MAX_ORDERING_GENERATORS + 1)
+    # backend, then the ordering cap, then a negative degree, then divisibility
+    with pytest.raises(errors.UnsupportedBackend):
+        e_extract(witt_one(rationals()), -1)
+    with pytest.raises(errors.OrderingLimitExceeded):
+        e_extract(pfister(big, [gen(big, 0)]), -1)
+    with pytest.raises(errors.DegreeOutOfRange, match=r"e-map degree -1 out of range"):
+        e_extract(witt_one(F4), -1)
+    rng = random.Random(4099)
+    for _ in range(200):
+        g = rng.randint(1, 8)
+        f = formal(g)
+        w = witt_zero(f)
+        while w.is_presented_zero():
+            for _ in range(rng.randint(1, 4)):
+                alphas = [random_square_class(rng, f) for _ in range(rng.randint(0, 2))]
+                w = witt_add(w, witt_int_scale(rng.choice((1, -1, 2, 3)), pfister(f, alphas)))
+        d = filtration_degree(w, 8) + rng.randint(1, 2)
+        # the first signature, in ordering order, that 2^d does not divide
+        bad = next(s for s in signature_vector(w) if s % 2**d)
+        with pytest.raises(errors.NotInIdealPower) as exc:
+            e_extract(w, d)
+        assert str(exc.value) == f"signature {bad} not divisible by 2^{d}"
+
+
+def test_table_filtration_check_matches_signature_divisibility():
+    rng = random.Random(4111)
+    samples, _ = make_tables(rng, ntrials=2, n=1)
+    outcomes = set()
+    for _ in range(120):
+        d = rng.randint(0, 3)
+        values = tuple(_ideal_power_class(rng, 4, rng.randint(0, d)) for _ in samples)
+        ok = not any(s % 2**d for w in values for s in signature_vector(w))
+        outcomes.add(ok)
+        if ok:
+            assert EvaluationTable(samples, values, d).declared_degree == d
+        else:
+            with pytest.raises(errors.InvalidInput, match="below the declared filtration degree"):
+                EvaluationTable(samples, values, d)
+    assert outcomes == {True, False}
+    # a table without values is not checked against its degree (decompose
+    # refuses it as an empty sample list)
+    assert EvaluationTable((), (), -1).declared_degree == -1

@@ -513,3 +513,87 @@ def test_payload_constructor_matches_parent_fold(field):
             (c, coeff * k) for coeff, gens in terms for c, k in _parent_pfister(field, gens).terms
         ]
         assert PfisterPresentation(field, degree, terms).to_witt() == ref(field, want)
+
+
+def _random_formal_class(rng, g):
+    """A class of formal(g): sparse sums of Pfister forms scaled by powers of
+    2, or random coefficients on every generator mask (with signs on the
+    payloads, as a raw WittClass may carry them)."""
+    f = formal(g)
+    if rng.random() < 0.3:
+        terms = []
+        for gens in itertools.chain.from_iterable(
+            itertools.combinations(range(g), j) for j in range(g + 1)
+        ):
+            cls = SquareClass(f, (rng.random() < 0.2, gens))
+            terms.append((cls, rng.randint(-3, 3) << rng.randint(0, 3)))
+        return WittClass(f, tuple((c, k) for c, k in terms if k))
+    w = witt_zero(f)
+    for _ in range(rng.randint(0, 4)):
+        alphas = [random_square_class(rng, f) for _ in range(rng.randint(0, 3))]
+        scale = rng.choice((1, -1, 3)) << rng.randint(0, 3)
+        w = witt_add(w, witt_int_scale(scale, pfister(f, alphas)))
+    return w
+
+
+def test_filtration_degree_matches_signature_gcd():
+    # the largest d <= cap with every signature divisible by 2^d
+    def oracle(w, cap):
+        n = math.gcd(*signature_vector(w))
+        return cap if n == 0 else min(cap, (n & -n).bit_length() - 1)
+
+    rng = random.Random(1701)
+    seen = set()
+    for _ in range(600):
+        g = rng.randint(0, 8)
+        w = _random_formal_class(rng, g)
+        for cap in (0, rng.randint(1, 4), g + 3):
+            d = filtration_degree(w, cap)
+            assert d == oracle(w, cap)
+            seen.add(d)
+    for g in range(9):
+        for cap in (0, 2):
+            assert filtration_degree(witt_zero(formal(g)), cap) == cap
+    for k in (0, 1, -4, 6, 12, -7):
+        w = make_witt(reals(), {canonicalize(1, reals()): k})
+        for cap in (0, 1, 5):
+            assert filtration_degree(w, cap) == oracle(w, cap)
+    assert seen >= set(range(6))
+
+
+def test_filtration_degree_raise_order():
+    big = formal(fields.MAX_ORDERING_GENERATORS + 1)
+    t0 = SquareClass(big, (False, (0,)))
+    # the cap is checked before the ordering cap, for any field size
+    for f in (formal(3), big, reals()):
+        with pytest.raises(errors.DegreeOutOfRange, match="cap must be >= 0"):
+            filtration_degree(witt_one(f), -1)
+    with pytest.raises(errors.OrderingLimitExceeded):
+        filtration_degree(pfister(big, [t0]), 0)
+    with pytest.raises(errors.UnsupportedBackend):
+        filtration_degree(witt_one(Q), -1)
+
+
+def test_superset_sums_match_direct_sums_on_both_branches():
+    # C_T = sum of the signed coefficients c_S over S containing T, summed
+    # term by term, for |T| <= k, on both sides of the enumerate/transform switch
+    from wittcalc.witt import _superset_sums
+
+    rng = random.Random(1723)
+    branches = set()
+    for _ in range(1000):
+        g = rng.randint(0, 8)
+        w = _random_formal_class(rng, g)
+        k = rng.randint(-1, g + 1)
+        terms = []
+        for cls, c in w.terms:
+            neg, gens = cls.data
+            terms.append((sum(1 << (g - 1 - i) for i in gens), -c if neg else c))
+        want = {}
+        for t in range(1 << g):
+            if t.bit_count() <= k:
+                want[t] = sum(c for s, c in terms if s & t == t)
+        assert _superset_sums(w, k) == {t: c for t, c in want.items() if c}
+        count = sum(math.comb(s.bit_count(), j) for s, _ in terms for j in range(max(k, 0) + 1))
+        branches.add(count <= g << g)
+    assert branches == {True, False}
