@@ -1,18 +1,20 @@
 """Mod-2 Galois cohomology as a symbol algebra.
 
 Classes are F2-sets of symbols whose factors are basis square classes
-(-1 and the primes over Q; -1 and the t_i over the formal backend).
-``coh_sum`` builds classes from symbols in normal form (``sw`` decodes its
-own masks), which is canonical over the formal, real and finite backends;
-over Q vanishing is decided semantically (Hilbert symbols in degree 2, the
-real place above).
+(-1 and the primes over Q; -1 and the t_i over the formal backend).  A
+symbol is stored as the sorted tuple of its factors' payloads
+(``SquareClass.data``); ``CohClass.symbols`` builds the Symbol view only
+when it is read.  ``coh_sum`` builds every class from symbols in normal
+form, which is canonical over the formal, real and finite backends; over Q
+vanishing is decided semantically (Hilbert symbols in degree 2, the real
+place in every degree from 2).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from . import fields
 from .errors import (
@@ -22,14 +24,7 @@ from .errors import (
     ZeroElement,
     ZeroFactor,
 )
-from .fields import (
-    FieldDescriptor,
-    SquareClass,
-    basis_factors,
-    canonicalize,
-    hilbert_symbol,
-    minus_one,
-)
+from .fields import FieldDescriptor, SquareClass, canonicalize
 from .witt import (
     DiagonalForm,
     PfisterPresentation,
@@ -45,19 +40,22 @@ class Symbol:
     field: FieldDescriptor
     factors: tuple[SquareClass, ...]  # sorted basis classes, square-reduced
 
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
 
 @dataclass(frozen=True)
 class CohClass:
     field: FieldDescriptor
     degree: int
-    symbols: frozenset
+    data: frozenset  # normal-form symbols, as sorted tuples of basis payloads
+
+    @property
+    def symbols(self) -> frozenset:
+        """The Symbol view of ``data``, built on each read."""
+        return frozenset(
+            Symbol(self.field, tuple(SquareClass(self.field, p) for p in s)) for s in self.data
+        )
 
     def is_presented_zero(self) -> bool:
-        return not self.symbols
+        return not self.data
 
 
 def coh_zero(field: FieldDescriptor, degree: int) -> CohClass:
@@ -65,42 +63,50 @@ def coh_zero(field: FieldDescriptor, degree: int) -> CohClass:
 
 
 def coh_unit(field: FieldDescriptor) -> CohClass:
-    return CohClass(field, 0, frozenset({Symbol(field, ())}))
+    return CohClass(field, 0, frozenset({()}))
+
+
+def _normal_form(bs: set, pad, degree: int) -> tuple:
+    """The distinct basis payloads ``bs`` (with or without -1, which pads them
+    anyway), padded with ``pad``, the payload of -1, up to ``degree``, sorted."""
+    return tuple(sorted([*bs, *[pad] * (degree - len(bs))]))
 
 
 def padded_symbol(field: FieldDescriptor, classes, degree: int) -> Symbol:
-    """Normal-form symbol: the distinct basis classes ``classes`` (with or
-    without -1, which pads them anyway), padded with (-1) up to ``degree``
-    and sorted."""
-    factors = list(classes)
-    if len(factors) < degree:
-        factors += [minus_one(field)] * (degree - len(factors))
-    factors.sort(key=lambda c: c.data)
-    return Symbol(field, tuple(factors))
+    """The Symbol view of the normal form of the distinct basis classes ``classes``."""
+    s = _normal_form({c.data for c in classes}, fields.payload_units(field)[1], degree)
+    return Symbol(field, tuple(SquareClass(field, p) for p in s))
 
 
 def coh_sum(field: FieldDescriptor, degree: int, products) -> CohClass:
     """The degree-``degree`` class of the sum of the symbols (b_1)...(b_n),
-    one per list of basis classes in ``products``, in normal form:
+    one per iterable of basis payloads in ``products``, in normal form:
     (b)(b) = (b)(-1), padding with (-1), equal symbols cancelling in pairs,
     and H^n(F_p) = 0 for n >= 2."""
     if field.kind == fields.FINITE and degree >= 2:
         return coh_zero(field, degree)
+    pad = fields.payload_units(field)[1]
     symbols: set = set()
     for bs in products:
-        symbols ^= {padded_symbol(field, set(bs), degree)}
+        symbols ^= {_normal_form(set(bs), pad, degree)}
     return CohClass(field, degree, frozenset(symbols))
+
+
+def _canonical(field: FieldDescriptor, factors) -> list[SquareClass]:
+    """The square classes of the field elements ``factors``, refusing 0."""
+    try:
+        return [canonicalize(f, field) for f in factors]
+    except ZeroElement as exc:
+        raise ZeroFactor("symbol factor is zero") from exc
 
 
 def symbol_sum(field: FieldDescriptor, degree: int, symbols) -> CohClass:
     """The sum of the symbols (a_1)...(a_n), one per list of field elements
     in ``symbols``: each is expanded multilinearly over the backend's basis
-    (``basis_factors``) and the products are summed by ``coh_sum``."""
-    try:
-        symbols = [[canonicalize(f, field) for f in factors] for factors in symbols]
-    except ZeroElement as exc:
-        raise ZeroFactor("symbol factor is zero") from exc
-    products = (itertools.product(*map(basis_factors, factors)) for factors in symbols)
+    (``fields.payload_basis``) and the products are summed by ``coh_sum``."""
+    basis = fields.payload_basis(field)
+    symbols = [[basis(c.data) for c in _canonical(field, factors)] for factors in symbols]
+    products = (itertools.product(*factors) for factors in symbols)
     return coh_sum(field, degree, itertools.chain.from_iterable(products))
 
 
@@ -115,13 +121,13 @@ def coh_add(a: CohClass, b: CohClass) -> CohClass:
         raise BackendMismatch("cohomology classes over different backends")
     if a.degree != b.degree:
         raise DegreeOutOfRange("cannot add classes of different degrees")
-    return CohClass(a.field, a.degree, a.symbols ^ b.symbols)
+    return CohClass(a.field, a.degree, a.data ^ b.data)
 
 
 def cup(a: CohClass, b: CohClass) -> CohClass:
     if a.field != b.field:
         raise BackendMismatch("cohomology classes over different backends")
-    products = (sa.factors + sb.factors for sa in a.symbols for sb in b.symbols)
+    products = (sa + sb for sa in a.data for sb in b.data)
     return coh_sum(a.field, a.degree + b.degree, products)
 
 
@@ -136,25 +142,22 @@ def is_zero(c: CohClass) -> bool:
     if c.degree <= 1:
         return c.is_presented_zero()
     if c.degree == 2:
-        factors = (f.data for sym in c.symbols for f in sym.factors)
-        for v in fields.hilbert_places(factors) + [fields.INF]:
-            s = 1
-            for sym in c.symbols:
-                a, b = sym.factors
-                s *= hilbert_symbol(a.data, b.data, v)
-            if s != 1:
+        # the finite places, from the primes that hilbert_places has proved
+        for v in fields.hilbert_places(p for s in c.data for p in s):
+            if prod(fields._hilbert_at_prime(a, b, v) for a, b in c.data) != 1:
                 return False
-        return True
-    # degree >= 3 over Q injects into H^n(R); a normalized symbol restricts
-    # to the generator iff all its factors are negative
-    m1 = minus_one(field)
-    negatives = sum(1 for sym in c.symbols if all(f == m1 for f in sym.factors))
-    return negatives % 2 == 0
+    # the real place, and all of H^n(Q) for n >= 3, which injects into
+    # H^n(R): a normal-form symbol restricts to the generator iff all its
+    # factors are -1, the only negative basis payload
+    return sum(all(p < 0 for p in s) for s in c.data) % 2 == 0
 
 
 def e_map(p: PfisterPresentation) -> CohClass:
-    """Image of a Pfister combination under e_n: <<a_1,...,a_n>> -> (a_1)...(a_n)."""
-    return symbol_sum(p.field, p.degree, [gens for coeff, gens in p.terms if coeff % 2])
+    """Image of a Pfister combination under e_n: <<a_1,...,a_n>> -> (a_1)...(a_n).
+    The factors of every term are checked, as PfisterPresentation.to_witt
+    checks them, before the terms of even coefficient are dropped."""
+    terms = [(coeff, _canonical(p.field, gens)) for coeff, gens in p.terms]
+    return symbol_sum(p.field, p.degree, [gens for coeff, gens in terms if coeff % 2])
 
 
 def sw(q: DiagonalForm, d: int) -> CohClass:
@@ -162,21 +165,17 @@ def sw(q: DiagonalForm, d: int) -> CohClass:
 
     A normal-form symbol of degree j is the set of its basis classes other
     than -1, kept as a bitmask, so cup with a basis class (b) is mask union:
-    (b)(b) = (b)(-1), and (-1) only adds padding.
+    (b)(b) = (b)(-1), and (-1) only adds padding, which coh_sum puts back
+    (and coh_sum gives 0 over F_p in degrees >= 2).
     """
     if not 0 <= d <= q.dim:
         raise DegreeOutOfRange(f"sw degree {d} out of range for dim {q.dim}")
     field = q.field
-    if field.kind == fields.FINITE and d >= 2:
-        return coh_zero(field, d)  # H^n(F_p) = 0 for n >= 2
-    m1 = minus_one(field)
-    bits: dict[SquareClass, int] = {}
+    basis, m1 = fields.payload_basis(field), fields.payload_units(field)[1]
+    bits: dict = {}  # basis payload other than -1 -> bit
     rows: list[set] = [{0}] + [set() for _ in range(d)]
     for idx, a in enumerate(q.entries):
-        items = [
-            0 if f == m1 else 1 << bits.setdefault(f, len(bits))
-            for f in basis_factors(a)
-        ]
+        items = [0 if f == m1 else 1 << bits.setdefault(f, len(bits)) for f in basis(a.data)]
         for j in range(min(d, idx + 1), 0, -1):
             tgt = rows[j]
             for it in items:
@@ -187,11 +186,7 @@ def sw(q: DiagonalForm, d: int) -> CohClass:
                     else:
                         tgt.add(mm)
     classes = list(bits)
-    symbols = frozenset(
-        padded_symbol(field, [c for i, c in enumerate(classes) if mask >> i & 1], d)
-        for mask in rows[d]
-    )
-    return CohClass(field, d, symbols)
+    return coh_sum(field, d, ([c for i, c in enumerate(classes) if m >> i & 1] for m in rows[d]))
 
 
 def sw_mod(q: DiagonalForm, d: int) -> CohClass:
@@ -227,7 +222,7 @@ class ModSwLiftRecipe:
         out = lambda_combination(q, self.plain)
         if self.two_scaled is not None:
             two = pfister(q.field, [canonicalize(2, q.field)])
-            if two.terms:  # <<2>> = 0 where 2 is a square, as over R((t_1))...((t_g))
+            if two.data:  # <<2>> = 0 where 2 is a square, as over R((t_1))...((t_g))
                 out = witt_add(out, witt_mul(two, lambda_combination(q, self.two_scaled)))
         return out
 

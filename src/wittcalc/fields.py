@@ -202,7 +202,7 @@ class SquareClass:
     data: Union[int, tuple]
 
     def is_trivial(self) -> bool:
-        return self == trivial_class(self.field)
+        return self.data == payload_units(self.field)[0]
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return sq_mul(self, other)
@@ -279,20 +279,23 @@ def _generator_tuple(gens, field: FieldDescriptor) -> tuple[int, ...]:
     return gens
 
 
-def trivial_class(field: FieldDescriptor) -> SquareClass:
-    if field.kind == FORMAL:
-        return SquareClass(field, (False, ()))
-    if field.kind == LAURENT_Q:
-        return SquareClass(field, (1, ()))
+def payload_units(field: FieldDescriptor) -> tuple:
+    """The payloads (``.data``) of the classes of 1 and of -1 over ``field``."""
     if field.kind == FINITE:
-        return SquareClass(field, 0)
-    if field.kind in (RATIONALS, REALS):
-        return SquareClass(field, 1)
-    raise _unsupported(field, "trivial_class")
+        return 0, 0 if field.p % 4 == 1 else 1  # -1 is a square iff p = 1 mod 4
+    if field.kind == FORMAL:
+        return (False, ()), (True, ())
+    if field.kind == LAURENT_Q:
+        return (1, ()), (-1, ())
+    return 1, -1  # the rationals and the reals
+
+
+def trivial_class(field: FieldDescriptor) -> SquareClass:
+    return SquareClass(field, payload_units(field)[0])
 
 
 def minus_one(field: FieldDescriptor) -> SquareClass:
-    return canonicalize(-1, field)
+    return SquareClass(field, payload_units(field)[1])
 
 
 def generator(field: FieldDescriptor, i: int) -> SquareClass:
@@ -348,36 +351,31 @@ def sq_mul(a: SquareClass, b: SquareClass) -> SquareClass:
     return SquareClass(a.field, payload_mul(a.field)(a.data, b.data))
 
 
-def basis_factors(a: SquareClass) -> tuple[SquareClass, ...]:
-    """Decomposition of a class over the F2-basis of the square-class group.
+def payload_basis(field: FieldDescriptor):
+    """The decomposition of a payload (``.data``) over the F2-basis of the
+    square-class group, as a map from a payload to the basis payloads.
 
     Rationals: {-1} and the primes; formal: {-1, t_1, ..., t_g};
     laurent_q: {-1, the primes, t_1, ..., t_g}; reals: {-1}; finite
     fields: the fixed nonresidue.  The trivial class decomposes as the
     empty product.
     """
-    field = a.field
-    if field.kind == RATIONALS:
-        sign = (SquareClass(field, -1),) if a.data < 0 else ()
-        return sign + tuple(SquareClass(field, p) for p, _ in factor(a.data))
-    if field.kind == FINITE:
-        return (a,) if a.data == 1 else ()
-    if field.kind == REALS:
-        return (a,) if a.data == -1 else ()
-    if field.kind == FORMAL:
-        neg, gens = a.data
-        out = []
-        if neg:
-            out.append(SquareClass(field, (True, ())))
-        out.extend(SquareClass(field, (False, (i,))) for i in gens)
-        return tuple(out)
-    if field.kind == LAURENT_Q:
-        r, gens = a.data
-        consts = basis_factors(SquareClass(rationals(), r))
-        return tuple(SquareClass(field, (c.data, ())) for c in consts) + tuple(
-            generator(field, i) for i in gens
-        )
-    raise _unsupported(field, "basis_factors")
+    kind = field.kind
+    if kind == RATIONALS:
+        return lambda a: ((-1,) if a < 0 else ()) + tuple(p for p, _ in factor(a))
+    if kind == FINITE:
+        return lambda a: (1,) if a == 1 else ()
+    if kind == REALS:
+        return lambda a: (-1,) if a == -1 else ()
+    if kind == FORMAL:
+        return lambda a: (((True, ()),) if a[0] else ()) + tuple((False, (i,)) for i in a[1])
+    rational = payload_basis(rationals())  # laurent_q
+    return lambda a: tuple((c, ()) for c in rational(a[0])) + tuple((1, (i,)) for i in a[1])
+
+
+def basis_factors(a: SquareClass) -> tuple[SquareClass, ...]:
+    """The basis classes of ``a``, the SquareClass view of payload_basis."""
+    return tuple(SquareClass(a.field, p) for p in payload_basis(a.field)(a.data))
 
 
 def f2_reduce(rows: Iterable[int]) -> list[int]:
@@ -403,9 +401,10 @@ def f2_reduce(rows: Iterable[int]) -> list[int]:
 
 def f2_independent(classes) -> bool:
     """Whether the square classes are independent in the F2-space k*/k*^2."""
-    bits: dict[SquareClass, int] = {}
+    bits: dict = {}  # basis payload -> bit
     rows = [
-        sum(1 << bits.setdefault(f, len(bits)) for f in basis_factors(c)) for c in classes
+        sum(1 << bits.setdefault(f, len(bits)) for f in payload_basis(c.field)(c.data))
+        for c in classes
     ]
     return len(f2_reduce(rows)) == len(rows)
 

@@ -78,7 +78,7 @@ def e_extract(w: WittClass, d: int) -> CohClass:
     if field.kind != fields.FORMAL:
         raise UnsupportedBackend("signature interpolation needs the formal backend")
     g = field.g
-    gens = [fields.generator(field, i) for i in range(g)]
+    gens = [fields.generator(field, i).data for i in range(g)]
     products = ([gens[i] for i in range(g) if m >> (g - 1 - i) & 1] for m in _image_masks(w, d))
     return coh_sum(field, d, products)
 
@@ -227,7 +227,7 @@ def decompose(
     constant = target.values[0]
     for c, tab in zip(coeffs, generators):
         constant = witt_sub(constant, witt_mul(c, tab.values[0]))
-    base_ok = not any(cls.data[1] for cls, _ in constant.terms)
+    base_ok = not any(p[1] for p, _ in constant.data)
     return Decomposition(tuple(coeffs), constant, base_ok)
 
 

@@ -93,7 +93,7 @@ def suite_lemma34(seed: int = 0) -> dict:
                 for l, c in enumerate(sw_lift(n, d)):
                     combo = witt_add(combo, witt_int_scale(c, lambda_power(q, l)))
                 cases += 1
-                if e_extract(combo, d).symbols != sw(q, d).symbols:
+                if e_extract(combo, d).data != sw(q, d).data:
                     failures.append(f"n={n} d={d} q={q}")
     return _report("lemma34", cases, failures)
 
@@ -301,20 +301,19 @@ def suite_weyl_consistency(seed: int = 0) -> dict:
         for d in range(n + 1):
             check(
                 f"e_{d}(lift_u) n={n} m={m}",
-                e_extract(lift_u(t, d), d).symbols == eval_u(t, d).symbols,
+                e_extract(lift_u(t, d), d).data == eval_u(t, d).data,
             )
         for d in range(min(2 * n, 4) + 1):
             check(
                 f"e_{d}(lift_v') n={n} m={m}",
-                e_extract(lift_v_prime(t, d), d).symbols
-                == eval_v_prime(t, d).symbols,
+                e_extract(lift_v_prime(t, d), d).data == eval_v_prime(t, d).data,
             )
         for d in range(min(2 * n, 3) + 1):
             unrolled = eval_v_prime(t, d)
             for i in range(d):
                 if d - i <= n:
                     unrolled = coh_add(unrolled, cup(eval_u(t, d - i), eval_v(t, i)))
-            check(f"v-recursion d={d}", eval_v(t, d).symbols == unrolled.symbols)
+            check(f"v-recursion d={d}", eval_v(t, d).data == unrolled.data)
 
     # D_n shadows over Q
     for n in (2, 3, 4):

@@ -393,27 +393,30 @@ def eval_g2_basis(t2: MultiquadraticTorsor, t3: MultiquadraticTorsor):
 # trace forms and the <<2>> part of the sw_mod lifts carry.
 
 
-def specialize_class(c: SquareClass, subs) -> SquareClass:
-    """Image over Q of a square class of Q((t_1))...((t_g)) under t_i -> subs[i]."""
-    if c.field.kind != fields.LAURENT_Q:
+def _specialize(field: FieldDescriptor, payload, subs) -> SquareClass:
+    """specialize_class of the class of ``field`` with payload ``payload``."""
+    if field.kind != fields.LAURENT_Q:
         raise BadBackend(
             "specialization starts from laurent_q(g): 2 is a square in R((t)), "
             "so t_i -> rationals is not a specialization of formal(g)"
         )
-    if len(subs) != c.field.g:
+    if len(subs) != field.g:
         raise InvalidInput("one substitution per generator required")
-    r, gens = c.data
+    r, gens = payload
     val = Fraction(r)
     for i in gens:
         val *= Fraction(subs[i])
     return canonicalize(val, rationals())
 
 
+def specialize_class(c: SquareClass, subs) -> SquareClass:
+    """Image over Q of a square class of Q((t_1))...((t_g)) under t_i -> subs[i]."""
+    return _specialize(c.field, c.data, subs)
+
+
 def specialize_witt(w: WittClass, subs) -> WittClass:
     """Witt class over Q((t_1))...((t_g)) specialized termwise to Q."""
-    return make_witt(
-        rationals(), [(specialize_class(c, subs), k) for c, k in w.terms]
-    )
+    return make_witt(rationals(), [(_specialize(w.field, p, subs), k) for p, k in w.data])
 
 
 def specialize_form(q: DiagonalForm, subs) -> DiagonalForm:
@@ -425,7 +428,7 @@ def specialize_form(q: DiagonalForm, subs) -> DiagonalForm:
 
 def specialize_coh(c: CohClass, subs) -> CohClass:
     """Symbol class over Q((t_1))...((t_g)) specialized factorwise to Q."""
-    images = [[specialize_class(f, subs) for f in sym.factors] for sym in c.symbols]
+    images = [[_specialize(c.field, p, subs) for p in s] for s in c.data]
     return symbol_sum(rationals(), c.degree, images)
 
 

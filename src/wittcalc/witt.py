@@ -1,9 +1,11 @@
 """Diagonal quadratic forms and Witt-ring arithmetic.
 
-Witt classes are stored as integer combinations of square classes.  The
-presentation is normalized (signs folded into coefficients where the backend
-has a preferred representative) but is not a canonical form over Q; equality
-there is a decision procedure built on Hasse-Minkowski invariants.
+Witt classes are stored as integer combinations of square-class payloads
+(``SquareClass.data``); ``WittClass.terms`` builds the SquareClass view only
+when it is read.  The presentation is normalized (signs folded into
+coefficients where the backend has a preferred representative) but is not a
+canonical form over Q; equality there is a decision procedure built on
+Hasse-Minkowski invariants.
 """
 
 from __future__ import annotations
@@ -54,28 +56,27 @@ def diagonal(field: FieldDescriptor, raws) -> DiagonalForm:
 @dataclass(frozen=True)
 class WittClass:
     field: FieldDescriptor
-    terms: tuple[tuple[SquareClass, int], ...]  # sorted, folded, nonzero coeffs
+    data: tuple[tuple, ...]  # (payload, coeff): sorted, folded, nonzero coeffs
 
-    def coeff(self, cls: SquareClass) -> int:
-        for c, k in self.terms:
-            if c == cls:
-                return k
-        return 0
+    @property
+    def terms(self) -> tuple[tuple[SquareClass, int], ...]:
+        """The (SquareClass, coeff) view of ``data``, built on each read."""
+        return tuple((SquareClass(self.field, p), k) for p, k in self.data)
 
     def is_presented_zero(self) -> bool:
-        return not self.terms
+        return not self.data
 
 
 def _witt(field: FieldDescriptor, terms) -> WittClass:
     """The class sum k<p> over (payload p, coeff k) pairs: each term folded
     by fields.payload_fold, equal payloads summed, zeros dropped, sorted by
-    payload, each class wrapped once."""
+    payload."""
     fold = fields.payload_fold(field)
     acc: dict = {}
     for p, k in terms:
         p, s = fold(p)
         acc[p] = acc.get(p, 0) + s * k
-    return WittClass(field, tuple((SquareClass(field, p), k) for p, k in sorted(acc.items()) if k))
+    return WittClass(field, tuple((p, acc[p]) for p in sorted(acc) if acc[p]))
 
 
 def make_witt(field: FieldDescriptor, term_map) -> WittClass:
@@ -89,7 +90,7 @@ def witt_zero(field: FieldDescriptor) -> WittClass:
 
 
 def witt_one(field: FieldDescriptor) -> WittClass:
-    return _witt(field, [(trivial_class(field).data, 1)])
+    return _witt(field, [(fields.payload_units(field)[0], 1)])
 
 
 def from_diagonal(q: DiagonalForm) -> WittClass:
@@ -99,11 +100,11 @@ def from_diagonal(q: DiagonalForm) -> WittClass:
 def witt_add(a: WittClass, b: WittClass) -> WittClass:
     if a.field != b.field:
         raise BackendMismatch("witt classes over different backends")
-    return _witt(a.field, ((c.data, k) for c, k in a.terms + b.terms))
+    return _witt(a.field, a.data + b.data)
 
 
 def witt_neg(a: WittClass) -> WittClass:
-    return WittClass(a.field, tuple((c, -k) for c, k in a.terms))
+    return WittClass(a.field, tuple((p, -k) for p, k in a.data))
 
 
 def witt_sub(a: WittClass, b: WittClass) -> WittClass:
@@ -114,12 +115,12 @@ def witt_mul(a: WittClass, b: WittClass) -> WittClass:
     if a.field != b.field:
         raise BackendMismatch("witt classes over different backends")
     mul = fields.payload_mul(a.field)
-    terms = ((mul(ca.data, cb.data), ka * kb) for ca, ka in a.terms for cb, kb in b.terms)
+    terms = ((mul(pa, pb), ka * kb) for pa, ka in a.data for pb, kb in b.data)
     return _witt(a.field, terms)
 
 
 def witt_int_scale(k: int, a: WittClass) -> WittClass:
-    return WittClass(a.field, tuple((c, k * v) for c, v in a.terms) if k else ())
+    return WittClass(a.field, tuple((p, k * v) for p, v in a.data) if k else ())
 
 
 def pfister(field: FieldDescriptor, alphas) -> WittClass:
@@ -146,14 +147,14 @@ class PfisterPresentation:
 
     def to_witt(self) -> WittClass:
         forms = [(coeff, pfister(self.field, gens)) for coeff, gens in self.terms]
-        return _witt(self.field, ((c.data, coeff * k) for coeff, w in forms for c, k in w.terms))
+        return _witt(self.field, ((p, coeff * k) for coeff, w in forms for p, k in w.data))
 
 
 def _lambda_rows(q: DiagonalForm, d: int) -> list[dict]:
     """Payload -> coefficient maps of lambda^0..lambda^d of q, in one
     iterative DP on the payloads (fields.payload_mul)."""
     mul = fields.payload_mul(q.field)
-    rows: list[dict] = [{trivial_class(q.field).data: 1}] + [dict() for _ in range(d)]
+    rows: list[dict] = [{fields.payload_units(q.field)[0]: 1}] + [dict() for _ in range(d)]
     for idx, a in enumerate(e.data for e in q.entries):
         for j in range(min(d, idx + 1), 0, -1):
             tgt = rows[j]
@@ -282,16 +283,16 @@ def diagonalize(g: GramMatrix) -> DiagonalForm:
     return DiagonalForm(g.field, tuple(entries))
 
 
-def _runs(a: WittClass) -> list[tuple[SquareClass, int]]:
-    """The class as runs (rep, m) of m > 0 equal diagonal entries <rep>
+def _runs(a: WittClass) -> list[tuple]:
+    """The class as runs (payload, m) of m > 0 equal diagonal entries
     (m copies of <-x> for -m<x>), one run per term."""
-    m1 = minus_one(a.field)
-    return [(cls, k) if k > 0 else (sq_mul(cls, m1), -k) for cls, k in a.terms]
+    mul, m1 = fields.payload_mul(a.field), fields.payload_units(a.field)[1]
+    return [(p, k) if k > 0 else (mul(p, m1), -k) for p, k in a.data]
 
 
 def _realized_entries(a: WittClass) -> list[SquareClass]:
     """Actual diagonal entries representing the class (<-x> for -<x>)."""
-    return [rep for rep, m in _runs(a) for _ in range(m)]
+    return [SquareClass(a.field, rep) for rep, m in _runs(a) for _ in range(m)]
 
 
 def total_signature(a: WittClass, ordering: tuple[int, ...]) -> int:
@@ -302,8 +303,8 @@ def _signed_masks(a: WittClass) -> list[tuple[int, int]]:
     """(generator mask, coefficient) of each term, generator i on bit g-1-i
     and <-x> as -<x>; the reals count as formal(0)."""
     g, out = a.field.g, []
-    for cls, k in a.terms:
-        neg, gens = cls.data if a.field.kind == fields.FORMAL else (cls.data < 0, ())
+    for p, k in a.data:
+        neg, gens = p if a.field.kind == fields.FORMAL else (p < 0, ())
         out.append((sum(1 << (g - 1 - i) for i in gens), -k if neg else k))
     return out
 
@@ -372,7 +373,7 @@ def filtration_degree(a: WittClass, cap: int) -> int:
 
 
 def virtual_rank(a: WittClass) -> int:
-    return sum(k for _, k in a.terms)
+    return sum(k for _, k in a.data)
 
 
 def _disc_class(field: FieldDescriptor, entries: list[SquareClass]) -> SquareClass:
@@ -410,24 +411,25 @@ def witt_eq(a: WittClass, b: WittClass) -> bool:
         return False
     h = dim // 2
     # disc = (-1)^(dim(dim-1)/2) times the entries, and dim(dim-1)/2 = h mod 2
-    disc = minus_one(field) if h % 2 else trivial_class(field)
+    mul, (one, m1) = fields.payload_mul(field), fields.payload_units(field)
+    disc = m1 if h % 2 else one
     for rep, m in runs:
         if m % 2:
-            disc = sq_mul(disc, rep)
-    if not disc.is_trivial():
+            disc = mul(disc, rep)
+    if disc != one:
         return False
     if field.kind == fields.FINITE:
         return True
-    if sum(m if rep.data > 0 else -m for rep, m in runs) != 0:
+    if sum(m if rep > 0 else -m for rep, m in runs) != 0:
         return False
     target_exp = (h * (h - 1) // 2) % 2
-    for p in fields.hilbert_places(rep.data for rep, _ in runs):
+    for p in fields.hilbert_places(rep for rep, _ in runs):
         if _hasse_invariant(runs, p) != fields._hilbert_at_prime(-1, -1, p) ** target_exp:
             return False
     return True
 
 
-def _hasse_invariant(runs: list[tuple[SquareClass, int]], p: int) -> int:
+def _hasse_invariant(runs: list[tuple[int, int]], p: int) -> int:
     """prod_{i<j} (a_i, a_j)_p over the realized entries a_i of ``runs``
     over Q, at a place p from fields.hilbert_places.
 
@@ -437,8 +439,7 @@ def _hasse_invariant(runs: list[tuple[SquareClass, int]], p: int) -> int:
     (r, r) = (-1, r); P is kept squarefree, so it is never factored.
     """
     s, prefix = 1, 1
-    for rep, m in runs:
-        r = rep.data
+    for r, m in runs:
         a = prefix if m % 2 else 1
         if m * (m - 1) // 2 % 2:
             a = -a

@@ -370,6 +370,14 @@ def test_coh_symbol_length_must_match_degree(capsys, tmp_path):
     assert err["message"] == "symbol of length 1 in a degree-2 class"
 
 
+def test_e_map_refuses_a_zero_factor_in_an_even_term(capsys, tmp_path):
+    # e_map checks every term's factors, as PfisterPresentation.to_witt does
+    payload = {"pfister": {"degree": 2, "terms": [{"coeff": 2, "gens": [2, 0]}]}}
+    code, out, err = run_json(capsys, ["coh", "e-map", "--field", "q"], payload, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ZeroElement"
+
+
 def test_decompose_refuses_tables_over_two_fields(capsys, tmp_path):
     rng = random.Random(5)
     f3, f4 = formal(3), formal(4)

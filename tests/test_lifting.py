@@ -228,7 +228,7 @@ def _reference_decompose(target, generators, n0):
                 continue
             gen_sym = [e_extract(tab.values[s], m) for s in range(nsamples)]
             for beta in basis[n - m]:
-                beta_cls = CohClass(field, n - m, frozenset({beta}))
+                beta_cls = CohClass(field, n - m, frozenset({tuple(f.data for f in beta.factors)}))
                 unknowns.append((i, beta))
                 columns.append([cup(beta_cls, gen_sym[s]).symbols for s in range(nsamples)])
         rows = []
@@ -472,7 +472,7 @@ def _ideal_power_class(rng, g, d):
             (fields.SquareClass(f, (rng.random() < 0.2, gens)), rng.randint(-3, 3) << d)
             for gens in masks
         ]
-        w = witt.WittClass(f, w.terms + tuple((c, k) for c, k in dense if k))
+        w = witt.WittClass(f, w.data + tuple((c.data, k) for c, k in dense if k))
     return w
 
 

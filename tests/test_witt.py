@@ -446,7 +446,7 @@ def _parent_make_witt(field, term_map):
         acc[cls] = acc.get(cls, 0) + coeff
     items = [(c, k) for c, k in acc.items() if k != 0]
     items.sort(key=lambda t: t[0].data if isinstance(t[0].data, tuple) else (t[0].data,))
-    return WittClass(field, tuple(items))
+    return WittClass(field, tuple((c.data, k) for c, k in items))
 
 
 def _parent_mul(a, b):
@@ -527,7 +527,7 @@ def _random_formal_class(rng, g):
         ):
             cls = SquareClass(f, (rng.random() < 0.2, gens))
             terms.append((cls, rng.randint(-3, 3) << rng.randint(0, 3)))
-        return WittClass(f, tuple((c, k) for c, k in terms if k))
+        return WittClass(f, tuple((c.data, k) for c, k in terms if k))
     w = witt_zero(f)
     for _ in range(rng.randint(0, 4)):
         alphas = [random_square_class(rng, f) for _ in range(rng.randint(0, 3))]
