@@ -1,87 +1,7 @@
 """Exact Witt-ring computations: quadratic form arithmetic over five simple
 base fields, mod-2 cohomology symbols, trace forms of etale algebras,
 signed-permutation-group torsor twisting, and sample-level decomposition of
-Witt-valued invariants over generator families."""
+Witt-valued invariants over generator families.
 
-from .errors import WittCalcError
-from .fields import (
-    FieldDescriptor,
-    SquareClass,
-    canonicalize,
-    finite_field,
-    formal,
-    hilbert_symbol,
-    laurent_q,
-    parse_field,
-    rationals,
-    reals,
-)
-from .witt import (
-    DiagonalForm,
-    GramMatrix,
-    PfisterPresentation,
-    WittClass,
-    diagonal,
-    diagonalize,
-    filtration_degree,
-    from_diagonal,
-    lambda_power,
-    pfister,
-    witt_add,
-    witt_eq,
-    witt_mul,
-)
-from .cohomology import CohClass, cup, e_map, is_zero, sw, sw_lift, sw_mod, sw_mod_lift
-from .etale import EtaleAlgebra, QuadraticPair, trace_form, trace_gram
-from .weyl import MultiquadraticTorsor, WreathElement, twist, wreath, wreath_mul
-from .lifting import Decomposition, EvaluationTable, decompose, e_extract
-
-__all__ = [
-    "WittCalcError",
-    "FieldDescriptor",
-    "SquareClass",
-    "canonicalize",
-    "finite_field",
-    "formal",
-    "hilbert_symbol",
-    "laurent_q",
-    "parse_field",
-    "rationals",
-    "reals",
-    "DiagonalForm",
-    "GramMatrix",
-    "PfisterPresentation",
-    "WittClass",
-    "diagonal",
-    "diagonalize",
-    "filtration_degree",
-    "from_diagonal",
-    "lambda_power",
-    "pfister",
-    "witt_add",
-    "witt_eq",
-    "witt_mul",
-    "CohClass",
-    "cup",
-    "e_map",
-    "is_zero",
-    "sw",
-    "sw_lift",
-    "sw_mod",
-    "sw_mod_lift",
-    "EtaleAlgebra",
-    "QuadraticPair",
-    "trace_form",
-    "trace_gram",
-    "MultiquadraticTorsor",
-    "WreathElement",
-    "twist",
-    "wreath",
-    "wreath_mul",
-    "Decomposition",
-    "EvaluationTable",
-    "decompose",
-    "e_extract",
-]
-
-__version__ = "0.1.0"
+The API lives in the submodules (``wittcalc.fields``, ``wittcalc.witt``,
+...); importing the package loads none of them."""

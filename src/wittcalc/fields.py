@@ -56,7 +56,7 @@ def _proven_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; False when n is composite or too large to decide."""
     if n >= MR_LIMIT:
         return False
-    s, d = _two_val(n - 1)
+    s, d = _val(n - 1, 2)
     for a in MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1) or a % n == 0:
@@ -148,6 +148,9 @@ class FieldDescriptor:
                 raise BadBackend(f"finite backend needs an odd prime, got {self.p}")
         if self.kind in TOWERS and self.g < 0:
             raise BadBackend(f"{self.kind} backend needs g >= 0")
+        if self.kind not in TOWERS and self.g:
+            # the reals are formal(0): orderings and signatures read g
+            raise BadBackend(f"{self.kind} backend has no Laurent generators, got g = {self.g}")
 
     def __str__(self) -> str:
         if self.kind == FINITE:
@@ -208,13 +211,6 @@ class SquareClass:
         return sq_mul(self, other)
 
 
-def least_nonresidue(p: int) -> int:
-    for k in range(2, p):
-        if pow(k, (p - 1) // 2, p) == p - 1:
-            return k
-    raise BadBackend(f"no nonresidue found mod {p}")
-
-
 def canonicalize(raw, field: FieldDescriptor) -> SquareClass:
     """Canonical square class of a nonzero field element."""
     if isinstance(raw, SquareClass):
@@ -241,25 +237,17 @@ def canonicalize(raw, field: FieldDescriptor) -> SquareClass:
         if raw == 0:
             raise ZeroElement("square class of zero")
         return SquareClass(field, 1 if raw > 0 else -1)
-    if field.kind == FORMAL:
-        # rational constants reduce to their sign (positive reals are squares)
+    if field.kind in TOWERS:
+        # a rational constant keeps its sign over R((t)) (positive reals are
+        # squares) and its square class over Q((t))
         if isinstance(raw, (int, Fraction)):
-            if raw == 0:
-                raise ZeroElement("square class of zero")
-            return SquareClass(field, (raw < 0, ()))
-        if isinstance(raw, tuple) and len(raw) == 2:
-            neg, gens = raw
-            return SquareClass(field, (bool(neg), _generator_tuple(gens, field)))
-        raise BadBackend(f"cannot interpret {raw!r} over {field}")
-    if field.kind == LAURENT_Q:
-        # rational constants keep their square class over Q
-        if isinstance(raw, (int, Fraction)):
-            raw = (raw, ())
-        if isinstance(raw, tuple) and len(raw) == 2:
-            r, gens = raw
-            r = canonicalize(r, rationals()).data
-            return SquareClass(field, (r, _generator_tuple(gens, field)))
-        raise BadBackend(f"cannot interpret {raw!r} over {field}")
+            raw, gens = (_integral(raw) < 0 if field.kind == FORMAL else raw), ()
+        elif isinstance(raw, tuple) and len(raw) == 2:
+            raw, gens = raw[0], _generator_tuple(raw[1], field)
+        else:
+            raise BadBackend(f"cannot interpret {raw!r} over {field}")
+        const = bool(raw) if field.kind == FORMAL else canonicalize(raw, rationals()).data
+        return SquareClass(field, (const, gens))
     raise _unsupported(field, "canonicalize")
 
 
@@ -415,10 +403,12 @@ def hilbert_places(values) -> list[int]:
     return sorted({2}.union(*({p for p, _ in factor(v)} for v in values)))
 
 
-def _two_val(n: int) -> tuple[int, int]:
+def _val(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) for the p-adic valuation v of the nonzero integer n;
+    the cofactor keeps the sign of n."""
     v = 0
-    while n % 2 == 0:
-        n //= 2
+    while n % p == 0:
+        n //= p
         v += 1
     return v, n
 
@@ -450,20 +440,11 @@ def hilbert_symbol(a, b, place) -> int:
 def _hilbert_at_prime(a: int, b: int, p: int) -> int:
     """(a, b)_p for nonzero integers a, b at a prime p that the caller has
     already proved prime (a place from hilbert_places); p is not checked."""
+    alpha, u = _val(a, p)
+    beta, v = _val(b, p)
     if p == 2:
-        alpha, u = _two_val(abs(a))
-        beta, v = _two_val(abs(b))
-        u, v = u * (1 if a > 0 else -1), v * (1 if b > 0 else -1)
         exp = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
         return -1 if exp % 2 else 1
-    alpha, u = 0, a
-    while u % p == 0:
-        u //= p
-        alpha += 1
-    beta, v = 0, b
-    while v % p == 0:
-        v //= p
-        beta += 1
     s = -1 if (alpha * beta * _eps(p)) % 2 else 1
     # the Legendre symbol of u enters to the power beta, that of v to alpha
     if beta % 2 and pow(u % p, (p - 1) // 2, p) != 1:
@@ -476,17 +457,14 @@ def _hilbert_at_prime(a: int, b: int, p: int) -> int:
 def signature_at(a: SquareClass, ordering: tuple[int, ...]) -> int:
     """Sign of a square class under an ordering of the reals/formal backend."""
     field = a.field
-    if field.kind == REALS:
-        if len(ordering) != 0:
-            raise OrderingLengthMismatch("reals carry a single empty ordering")
-        return a.data
-    if field.kind != FORMAL:
+    if field.kind not in (REALS, FORMAL):
         raise BackendMismatch("signatures exist only over reals/formal backends")
     if len(ordering) != field.g:
         raise OrderingLengthMismatch(
             f"ordering has length {len(ordering)}, expected {field.g}"
         )
-    neg, gens = a.data
+    # the reals are formal(0), their payload +-1 the sign alone
+    neg, gens = a.data if field.kind == FORMAL else (a.data < 0, ())
     s = -1 if neg else 1
     for i in gens:
         s *= ordering[i]
@@ -499,9 +477,7 @@ def orderings(field: FieldDescriptor) -> Iterator[tuple[int, ...]]:
     Raises when called, not when first advanced, so a caller is refused
     above the cap before it allocates anything of size 2^g.
     """
-    if field.kind == REALS:
-        return iter([()])
-    if field.kind != FORMAL:
+    if field.kind not in (REALS, FORMAL):
         raise BackendMismatch("orderings exist only over reals/formal backends")
     if field.g > MAX_ORDERING_GENERATORS:
         raise OrderingLimitExceeded(
@@ -536,9 +512,7 @@ def json_rationals(obj, what: str) -> list[Fraction]:
 
 
 def sq_to_json(a: SquareClass):
-    if a.field.kind == RATIONALS:
-        return a.data
-    if a.field.kind == FINITE:
+    if a.field.kind in (RATIONALS, FINITE):
         return a.data
     if a.field.kind == REALS:
         return "+" if a.data > 0 else "-"

@@ -22,6 +22,9 @@ from .witt import DiagonalForm, PfisterPresentation
 
 RATIONAL_TORSOR_CLASSES = (2, 3, 5)
 
+#: draws per involution, and restarts of the set, before giving up
+SAMPLE_TRIES = 4000
+
 
 def random_square_class(rng: random.Random, field: FieldDescriptor, height: int = 10) -> SquareClass:
     if field.kind == fields.RATIONALS:
@@ -92,15 +95,13 @@ def random_involution(rng: random.Random, n: int, kind: str) -> WreathElement:
     return WreathElement(n, tuple(perm), flips)
 
 
-def random_commuting_involutions(
-    rng: random.Random, n: int, m: int, kind: str, tries: int = 4000
-) -> tuple[WreathElement, ...]:
+def random_commuting_involutions(rng: random.Random, n: int, m: int, kind: str) -> tuple[WreathElement, ...]:
     """Rejection-sample m pairwise commuting involutions."""
-    for _ in range(tries):
+    for _ in range(SAMPLE_TRIES):
         out: list[WreathElement] = []
         ok = True
         for _ in range(m):
-            for _ in range(tries):
+            for _ in range(SAMPLE_TRIES):
                 g = random_involution(rng, n, kind)
                 if all(wreath_mul(g, h) == wreath_mul(h, g) for h in out):
                     out.append(g)

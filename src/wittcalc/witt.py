@@ -270,15 +270,15 @@ def diagonalize(g: GramMatrix) -> DiagonalForm:
                     m[k][col] += m[j][col]
                 for row in m:
                     row[k] += row[j]
+        # only rows and columns k+1.. are read again; row k is left as it
+        # is, so that trailing block stays symmetric without a column pass
         piv = m[k][k]
         for i in range(k + 1, n):
             f = m[i][k] / piv
             if f == 0:
                 continue
-            for col in range(n):
+            for col in range(k + 1, n):
                 m[i][col] -= f * m[k][col]
-            for row in m:
-                row[i] -= f * row[k]
         entries.append(canonicalize(piv, g.field))
     return DiagonalForm(g.field, tuple(entries))
 
@@ -395,12 +395,10 @@ def witt_eq(a: WittClass, b: WittClass) -> bool:
         # Q((t_1))...((t_g)) needs Springer residue forms
         raise UnsupportedBackend(f"witt_eq is not implemented over {field}")
     w = witt_sub(a, b)
-    if field.kind == fields.FORMAL:
-        # W of the iterated Laurent field is Z[(Z/2)^g]; the folded
-        # presentation is canonical.
+    if field.kind in (fields.REALS, fields.FORMAL):
+        # W of the iterated Laurent field is Z[(Z/2)^g], the reals being
+        # g = 0; the folded presentation is canonical.
         return w.is_presented_zero()
-    if field.kind == fields.REALS:
-        return total_signature(w, ()) == 0
     # w is hyperbolic iff dim 2h, trivial discriminant and, over Q,
     # signature 0 and the Hasse invariant of h hyperbolic planes everywhere.
     # Each run of m equal entries is read once, so the cost does not grow

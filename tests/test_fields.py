@@ -19,7 +19,6 @@ from wittcalc.fields import (
     formal,
     hilbert_symbol,
     laurent_q,
-    least_nonresidue,
     minus_one,
     orderings,
     parse_field,
@@ -61,7 +60,6 @@ def test_finite_field_classes():
     assert canonicalize(2, F7).data == 0
     assert canonicalize(3, F7).data == 1
     assert canonicalize(Fraction(1, 3), F7).data == 1
-    assert least_nonresidue(7) == 3
     with pytest.raises(errors.BadBackend):
         finite_field(2)
     with pytest.raises(errors.BadBackend):
@@ -335,3 +333,58 @@ def test_generator_is_built_from_its_canonical_payload(monkeypatch):
         with pytest.raises(errors.BadBackend) as exc:
             fields.generator(f, 0)
         assert str(exc.value) == f"{f} has no Laurent generators"
+
+
+def _parent_hilbert_at_prime(a, b, p):
+    # _hilbert_at_prime before it read both valuations through _val: a
+    # separate 2-adic split of |a|, |b| with the sign put back, and two
+    # inline loops at odd p
+    def two_val(n):
+        v = 0
+        while n % 2 == 0:
+            n //= 2
+            v += 1
+        return v, n
+
+    if p == 2:
+        alpha, u = two_val(abs(a))
+        beta, v = two_val(abs(b))
+        u, v = u * (1 if a > 0 else -1), v * (1 if b > 0 else -1)
+        exp = fields._eps(u) * fields._eps(v) + alpha * fields._omega(v) + beta * fields._omega(u)
+        return -1 if exp % 2 else 1
+    alpha, u = 0, a
+    while u % p == 0:
+        u //= p
+        alpha += 1
+    beta, v = 0, b
+    while v % p == 0:
+        v //= p
+        beta += 1
+    s = -1 if (alpha * beta * fields._eps(p)) % 2 else 1
+    if beta % 2 and pow(u % p, (p - 1) // 2, p) != 1:
+        s = -s
+    if alpha % 2 and pow(v % p, (p - 1) // 2, p) != 1:
+        s = -s
+    return s
+
+
+def test_hilbert_at_prime_matches_separate_valuations():
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(-300, 301):
+            for b in range(-60, 61):
+                if a and b:
+                    assert fields._hilbert_at_prime(a, b, p) == _parent_hilbert_at_prime(a, b, p), (a, b, p)
+
+
+def test_reals_are_formal_zero():
+    # the reals take formal(0)'s signature path: one empty ordering, the sign
+    # as a payload without generators, and no reals descriptor with g != 0
+    R, F0 = reals(), formal(0)
+    assert list(orderings(R)) == list(orderings(F0)) == [()]
+    for x in (3, -2, Fraction(-1, 5)):
+        assert signature_at(canonicalize(x, R), ()) == signature_at(canonicalize(x, F0), ())
+    with pytest.raises(errors.OrderingLengthMismatch, match="expected 0"):
+        signature_at(canonicalize(-1, R), (1,))
+    for kind in (fields.REALS, fields.RATIONALS):
+        with pytest.raises(errors.BadBackend, match="no Laurent generators"):
+            fields.FieldDescriptor(kind, g=2)

@@ -597,3 +597,66 @@ def test_superset_sums_match_direct_sums_on_both_branches():
         count = sum(math.comb(s.bit_count(), j) for s, _ in terms for j in range(max(k, 0) + 1))
         branches.add(count <= g << g)
     assert branches == {True, False}
+
+
+def _parent_diagonalize(g, seen):
+    # diagonalize before it updated only the trailing block: every row and
+    # column pass over the whole matrix; ``seen`` counts the swap and repair
+    n = g.dim
+    m = [list(row) for row in g.entries]
+    entries = []
+    for k in range(n):
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                seen["swap"] += 1
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if j is None:
+                    raise errors.DegenerateMatrix("gram matrix is degenerate")
+                seen["repair"] += 1
+                for col in range(n):
+                    m[k][col] += m[j][col]
+                for row in m:
+                    row[k] += row[j]
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / piv
+            if f == 0:
+                continue
+            for col in range(n):
+                m[i][col] -= f * m[k][col]
+            for row in m:
+                row[i] -= f * row[k]
+        entries.append(canonicalize(piv, g.field))
+    return DiagonalForm(g.field, tuple(entries))
+
+
+def test_diagonalize_matches_full_matrix_updates():
+    # same forms and same raises as the full-matrix routine on seeded
+    # symmetric Gram matrices, many with zero diagonals (swap and repair)
+    # and many degenerate
+    rng = random.Random(1901)
+    seen = {"swap": 0, "repair": 0, "degenerate": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        zero_diagonal = rng.random() < 0.3
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if (i == j and zero_diagonal) or rng.random() < 0.35:
+                    continue
+                m[i][j] = m[j][i] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        g = gram(Q, m)
+        try:
+            want = _parent_diagonalize(g, seen)
+        except errors.DegenerateMatrix:
+            seen["degenerate"] += 1
+            with pytest.raises(errors.DegenerateMatrix):
+                diagonalize(g)
+            continue
+        assert diagonalize(g) == want
+    assert min(seen.values()) >= 100, seen
