@@ -222,12 +222,7 @@ def canonicalize(raw, field: FieldDescriptor) -> SquareClass:
         odd = prod(p for p, e in factor(m) if e % 2)
         return SquareClass(field, odd if m > 0 else -odd)
     if field.kind == FINITE:
-        if not isinstance(raw, (int, Fraction)):
-            raise BadBackend(f"cannot interpret {raw!r} over F_{field.p}")
-        fr = Fraction(raw)
-        if fr.denominator % field.p == 0:
-            raise BadBackend(f"{raw!r} has no reduction mod {field.p}")
-        v = (fr.numerator * pow(fr.denominator, -1, field.p)) % field.p
+        v = residue(raw, field.p)
         if v == 0:
             raise ZeroElement("square class of zero")
         return SquareClass(field, 0 if pow(v, (field.p - 1) // 2, field.p) == 1 else 1)
@@ -249,6 +244,17 @@ def canonicalize(raw, field: FieldDescriptor) -> SquareClass:
         const = bool(raw) if field.kind == FORMAL else canonicalize(raw, rationals()).data
         return SquareClass(field, (const, gens))
     raise _unsupported(field, "canonicalize")
+
+
+def residue(raw, p: int) -> int:
+    """The residue in range(p) of an int or Fraction whose denominator p
+    does not divide; anything else raises BadBackend."""
+    if not isinstance(raw, (int, Fraction)):
+        raise BadBackend(f"cannot interpret {raw!r} over F_{p}")
+    fr = Fraction(raw)
+    if fr.denominator % p == 0:
+        raise BadBackend(f"{raw!r} has no reduction mod {p}")
+    return fr.numerator * pow(fr.denominator, -1, p) % p
 
 
 def _integral(x) -> int:

@@ -67,16 +67,22 @@ class WittClass:
         return not self.data
 
 
-def _witt(field: FieldDescriptor, terms) -> WittClass:
-    """The class sum k<p> over (payload p, coeff k) pairs: each term folded
-    by fields.payload_fold, equal payloads summed, zeros dropped, sorted by
-    payload."""
-    fold = fields.payload_fold(field)
+def _sum(field: FieldDescriptor, terms) -> WittClass:
+    """The class sum k<p> over (payload p, coeff k) pairs whose payloads are
+    folded (fields.payload_fold gives them sign +1): equal payloads summed,
+    zeros dropped, sorted by payload.  Folded payloads are closed under
+    fields.payload_mul, so sums and products of classes come here unfolded."""
     acc: dict = {}
     for p, k in terms:
-        p, s = fold(p)
-        acc[p] = acc.get(p, 0) + s * k
+        acc[p] = acc.get(p, 0) + k
     return WittClass(field, tuple((p, acc[p]) for p in sorted(acc) if acc[p]))
+
+
+def _witt(field: FieldDescriptor, terms) -> WittClass:
+    """The class sum k<p> over (payload p, coeff k) pairs: each term folded
+    by fields.payload_fold, then summed by _sum."""
+    fold = fields.payload_fold(field)
+    return _sum(field, ((q, s * k) for p, k in terms for q, s in (fold(p),)))
 
 
 def make_witt(field: FieldDescriptor, term_map) -> WittClass:
@@ -100,7 +106,7 @@ def from_diagonal(q: DiagonalForm) -> WittClass:
 def witt_add(a: WittClass, b: WittClass) -> WittClass:
     if a.field != b.field:
         raise BackendMismatch("witt classes over different backends")
-    return _witt(a.field, a.data + b.data)
+    return _sum(a.field, a.data + b.data)
 
 
 def witt_neg(a: WittClass) -> WittClass:
@@ -115,8 +121,7 @@ def witt_mul(a: WittClass, b: WittClass) -> WittClass:
     if a.field != b.field:
         raise BackendMismatch("witt classes over different backends")
     mul = fields.payload_mul(a.field)
-    terms = ((mul(pa, pb), ka * kb) for pa, ka in a.data for pb, kb in b.data)
-    return _witt(a.field, terms)
+    return _sum(a.field, ((mul(pa, pb), ka * kb) for pa, ka in a.data for pb, kb in b.data))
 
 
 def witt_int_scale(k: int, a: WittClass) -> WittClass:
@@ -147,36 +152,68 @@ class PfisterPresentation:
 
     def to_witt(self) -> WittClass:
         forms = [(coeff, pfister(self.field, gens)) for coeff, gens in self.terms]
-        return _witt(self.field, ((p, coeff * k) for coeff, w in forms for p, k in w.data))
+        return _sum(self.field, ((p, coeff * k) for coeff, w in forms for p, k in w.data))
 
 
-def _lambda_rows(q: DiagonalForm, d: int) -> list[dict]:
-    """Payload -> coefficient maps of lambda^0..lambda^d of q, in one
-    iterative DP on the payloads (fields.payload_mul)."""
-    mul = fields.payload_mul(q.field)
-    rows: list[dict] = [{fields.payload_units(q.field)[0]: 1}] + [dict() for _ in range(d)]
-    for idx, a in enumerate(e.data for e in q.entries):
+def _lambda_rows(field: FieldDescriptor, entries: list, d: int) -> list[dict]:
+    """Folded payload -> coefficient maps of lambda^0..lambda^d in W of the
+    form with the payloads ``entries``, in one iterative DP: each entry is
+    folded once (fields.payload_fold), and folded payloads are closed under
+    fields.payload_mul, so every row stays folded."""
+    mul, fold = fields.payload_mul(field), fields.payload_fold(field)
+    rows: list[dict] = [{fields.payload_units(field)[0]: 1}] + [dict() for _ in range(d)]
+    for idx, (a, s) in enumerate(map(fold, entries)):
         for j in range(min(d, idx + 1), 0, -1):
             tgt = rows[j]
             for c, k in rows[j - 1].items():
                 c = mul(c, a)
-                tgt[c] = tgt.get(c, 0) + k
+                tgt[c] = tgt.get(c, 0) + s * k
     return rows
+
+
+#: forms of this dimension and above take lambda-powers from the split, whose
+#: fixed cost loses to the DP on smaller forms (crossover measured over Q)
+SPLIT_DIM = 10
 
 
 def lambda_power(q: DiagonalForm, d: int) -> WittClass:
     """Sum of <prod_{i in I} a_i> over size-d subsets I."""
     if not 0 <= d <= q.dim:
         raise DegreeOutOfRange(f"lambda degree {d} out of range for dim {q.dim}")
-    return _witt(q.field, _lambda_rows(q, d)[d].items())
+    return lambda_combination(q, [0] * d + [1])
 
 
 def lambda_combination(q: DiagonalForm, coeffs) -> WittClass:
-    """sum_l coeffs[l] lambda^l(q), from one DP."""
-    if len(coeffs) > q.dim + 1:
-        raise DegreeOutOfRange(f"lambda degree {q.dim + 1} out of range for dim {q.dim}")
-    rows = _lambda_rows(q, len(coeffs) - 1)
-    return _witt(q.field, ((p, c * k) for c, row in zip(coeffs, rows) if c for p, k in row.items()))
+    """sum_l coeffs[l] lambda^l(q).
+
+    Below SPLIT_DIM entries, from one DP over the entries.  From SPLIT_DIM
+    on, from lambda^l(q_1 + q_2) = sum_k lambda^k(q_1) lambda^(l-k)(q_2)
+    over the two halves of the entries (McGarraghy, Exterior powers of
+    symmetric bilinear forms, 2002), multiplying only the pairs of DP rows
+    whose coefficient is nonzero, so lambda^d costs about as much as its
+    output.  Both run in W, GW -> W being a ring map: the rows are folded
+    (_lambda_rows), and their products are summed as they are.
+    """
+    top = len(coeffs) - 1
+    if top > q.dim:
+        raise DegreeOutOfRange(f"lambda degree {top} out of range for dim {q.dim}")
+    field, entries = q.field, [e.data for e in q.entries]
+    if q.dim < SPLIT_DIM:
+        rows = _lambda_rows(field, entries, top)
+        return _sum(field, ((p, c * k) for c, row in zip(coeffs, rows) if c for p, k in row.items()))
+    h = q.dim // 2
+    left, right = (
+        [_sum(field, row.items()).data for row in _lambda_rows(field, half, min(top, len(half)))]
+        for half in (entries[:h], entries[h:])
+    )
+    pairs = [
+        (a, b, c)
+        for k, a in enumerate(left)
+        for m, b in enumerate(right[: top - k + 1])
+        if (c := coeffs[k + m])
+    ]
+    mul = fields.payload_mul(field)
+    return _sum(field, ((mul(pa, pb), c * ka * kb) for a, b, c in pairs for pa, ka in a for pb, kb in b))
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:
@@ -249,9 +286,12 @@ def lambda_power_gram_oracle(g: GramMatrix, d: int) -> GramMatrix:
 
 
 def diagonalize(g: GramMatrix) -> DiagonalForm:
-    """Diagonal form congruent to g, by symmetric pivoting over exact rationals."""
-    n = g.dim
-    m = [list(row) for row in g.entries]
+    """Diagonal form congruent to g, by symmetric pivoting over exact
+    rationals, or over the residues mod p on fp:p (an entry whose
+    denominator p divides raises BadBackend, as in fields.canonicalize)."""
+    n, field = g.dim, g.field
+    p = field.p if field.kind == fields.FINITE else 0
+    m = [[fields.residue(x, p) for x in row] if p else list(row) for row in g.entries]
     entries = []
     for k in range(n):
         if m[k][k] == 0:
@@ -262,25 +302,26 @@ def diagonalize(g: GramMatrix) -> DiagonalForm:
                     row[k], row[j] = row[j], row[k]
             else:
                 # all remaining diagonal entries vanish; repair with an
-                # off-diagonal entry (adds 2*m[k][j] to the pivot, char 0)
+                # off-diagonal entry (adds 2*m[k][j] to the pivot, char != 2)
                 j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
                 if j is None:
                     raise DegenerateMatrix("gram matrix is degenerate")
-                for col in range(n):
-                    m[k][col] += m[j][col]
+                m[k] = [x + y for x, y in zip(m[k], m[j])]
                 for row in m:
                     row[k] += row[j]
+                    if p:
+                        row[k] %= p
         # only rows and columns k+1.. are read again; row k is left as it
         # is, so that trailing block stays symmetric without a column pass
-        piv = m[k][k]
+        piv, top = m[k][k], m[k][k + 1 :]
         for i in range(k + 1, n):
-            f = m[i][k] / piv
+            f = m[i][k] * pow(piv, -1, p) % p if p else m[i][k] / piv
             if f == 0:
                 continue
-            for col in range(k + 1, n):
-                m[i][col] -= f * m[k][col]
-        entries.append(canonicalize(piv, g.field))
-    return DiagonalForm(g.field, tuple(entries))
+            row = [x - f * y for x, y in zip(m[i][k + 1 :], top)]
+            m[i][k + 1 :] = [x % p for x in row] if p else row
+        entries.append(canonicalize(piv, field))
+    return DiagonalForm(field, tuple(entries))
 
 
 def _runs(a: WittClass) -> list[tuple]:

@@ -361,6 +361,17 @@ def test_gram_entries_are_integers_or_rational_strings(capsys, tmp_path):
     assert json.loads(out)["form"] == [-3, 93]
 
 
+def test_gram_over_fp_is_diagonalized_mod_p(capsys, tmp_path):
+    # 7 is a nonzero rational pivot that vanishes mod 7
+    argv = ["form", "diagonalize", "--field", "fp:7"]
+    code, out, _ = run_json(capsys, argv, {"gram": [[7, 1], [1, 0]]}, tmp_path)
+    assert code == 0
+    assert json.loads(out)["form"] == [0, 1]
+    code, out, err = run_json(capsys, argv, {"gram": [[1, 1], [1, 8]]}, tmp_path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DegenerateMatrix"
+
+
 def test_coh_symbol_length_must_match_degree(capsys, tmp_path):
     payload = {"coh": {"degree": 2, "symbols": [[2]]}}
     code, out, err = run_json(capsys, ["coh", "is-zero", "--field", "q"], payload, tmp_path)

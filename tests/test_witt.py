@@ -133,6 +133,43 @@ def test_diagonalize_congruence_invariants():
         assert q.dim == n
 
 
+def test_diagonalize_over_fp_eliminates_mod_p():
+    # pivots are reduced mod p as they are made: dimension and determinant
+    # class mod p, which classify forms over F_p, match the Gram matrix
+    from wittcalc.witt import _det
+
+    rng = random.Random(73)
+    for p in (3, 5, 7):
+        field = finite_field(p)
+        seen = {"form": 0, "degenerate": 0}
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.7:
+                        m[i][j] = m[j][i] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))
+            det = _det(m)
+            if det.numerator % p == 0:
+                seen["degenerate"] += 1
+                with pytest.raises(errors.DegenerateMatrix):
+                    diagonalize(gram(field, m))
+                continue
+            seen["form"] += 1
+            q = diagonalize(gram(field, m))
+            assert q.dim == n
+            disc = functools.reduce(fields.sq_mul, q.entries, trivial_class(field))
+            assert disc == canonicalize(det, field)
+        assert min(seen.values()) >= 20, (p, seen)
+    f7 = finite_field(7)
+    # the rational pivot 7 vanishes mod 7: the hyperbolic plane
+    assert [e.data for e in diagonalize(gram(f7, [[7, 1], [1, 0]])).entries] == [0, 1]
+    with pytest.raises(errors.DegenerateMatrix):
+        diagonalize(gram(f7, [[1, 1], [1, 8]]))
+    with pytest.raises(errors.BadBackend):
+        diagonalize(gram(f7, [[Fraction(1, 7), 1], [1, 0]]))
+
+
 def test_degenerate_matrix_rejected():
     with pytest.raises(errors.DegenerateMatrix):
         diagonalize(gram(Q, [[1, 1], [1, 1]]))
@@ -374,7 +411,8 @@ def _oracle_class(rng, field):
 def test_payload_products_match_square_class_products(field):
     # lambda_power and witt_mul multiply payloads; the oracle folds SquareClass
     # objects with sq_mul, subset by subset and term by term.
-    # lambda_combination and sw_mod_lift(n, d).apply sum rows of one DP; the
+    # lambda_combination and sw_mod_lift(n, d).apply sum rows of one DP in W,
+    # or from witt.SPLIT_DIM entries on, products of two halves' rows; the
     # oracle sums lambda_power terms with witt_add and witt_int_scale
     rng = random.Random(str(field))
     crng = random.Random(f"combination {field}")
@@ -385,7 +423,7 @@ def test_payload_products_match_square_class_products(field):
             out = witt_add(out, witt_int_scale(c, lambda_power(q, l)))
         return out
 
-    for dim in (0, 1, 2, 5, 8):
+    for dim in (0, 1, 2, 5, 8, 11, 14):
         q = DiagonalForm(field, tuple(_oracle_class(rng, field) for _ in range(dim)))
         for d in range(dim + 1):
             want = []
@@ -413,6 +451,40 @@ def test_payload_products_match_square_class_products(field):
         )
         want = [(fields.sq_mul(ca, cb), ka * kb) for ca, ka in a.terms for cb, kb in b.terms]
         assert witt_mul(a, b) == make_witt(field, want)
+        assert witt_add(a, b) == make_witt(field, a.terms + b.terms)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [rationals(), finite_field(3), finite_field(5), reals(), formal(4), laurent_q(2)],
+    ids=str,
+)
+def test_folded_payloads_are_closed_under_products(field):
+    # witt_mul, witt_add and the lambda DP and split sum products of folded
+    # payloads without folding them again
+    rng = random.Random(f"fold closure {field}")
+    fold, mul = fields.payload_fold(field), fields.payload_mul(field)
+    for _ in range(200):
+        a, b = (fold(_oracle_class(rng, field).data)[0] for _ in range(2))
+        assert fold(mul(a, b)) == (mul(a, b), 1)
+
+
+def test_lambda_split_products_are_bounded_by_its_output(monkeypatch):
+    # lambda^7 of the first 14 primes: C(14, 7) products of the two halves'
+    # rows and 2^7 - 1 in each half's DP; one DP over all 14 makes 9,907
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+    q = diagonal(Q, primes)
+    calls = []
+    mul = fields._squarefree_mul
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(fields, "_squarefree_mul", counting)
+    w = lambda_power(q, 7)
+    assert len(w.data) == math.comb(14, 7)
+    assert len(calls) <= math.comb(14, 7) + 2 * (2**7 - 1)
 
 
 def _parent_fold(field, cls, coeff):
